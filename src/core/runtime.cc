@@ -24,18 +24,20 @@ namespace {
 
 Runtime* g_runtime = nullptr;
 
-// Human-readable dynamic type of an object (invocation span labels).
+// Human-readable form of a mangled type name (invocation span labels).
 // Demangling is deterministic: same binary, same names.
-std::string ObjectLabel(const Object* obj) {
-  if (obj == nullptr) {
-    return "stack-local";
-  }
-  const char* raw = typeid(*obj).name();
+std::string Demangle(const char* raw) {
   int status = 0;
   char* demangled = abi::__cxa_demangle(raw, nullptr, nullptr, &status);
   std::string out = (status == 0 && demangled != nullptr) ? demangled : raw;
   std::free(demangled);
   return out;
+}
+
+// "lock<id>": the label of a per-lock metric family.
+template <typename Metric>
+Metric& PerLock(metrics::FamilyHandles<Metric>& family, int id) {
+  return family.At(static_cast<size_t>(id), [id] { return "lock" + std::to_string(id); });
 }
 
 // Wire size of the thread control state that travels with a migrating
@@ -49,6 +51,49 @@ constexpr int64_t kHintUpdateBytes = 32;
 constexpr int64_t kPerObjectMoveOverhead = 32;
 
 }  // namespace
+
+// Handles into the attached registry for the families recorded on every
+// event — scheduler, rpc latency, invocation, migration, forwarding chains,
+// per-link traffic and locks — resolved on first use
+// (metrics::FamilyHandles). SetMetrics rebuilds them for each registry.
+struct Runtime::MetricHandles {
+  explicit MetricHandles(metrics::Registry* r)
+      : threads_created(r, "sched.threads.created"),
+        runqueue_wait(r, "sched.runqueue.wait"),
+        runqueue_depth(r, "sched.runqueue.depth"),
+        preempts(r, "sched.preempts"),
+        rpc_latency(r, "rpc.roundtrip.latency"),
+        invoke_local(r, "amber.invoke.latency.local"),
+        invoke_remote(r, "amber.invoke.latency.remote"),
+        migration_latency(r, "amber.migration.latency"),
+        migration_bytes(r, "amber.migration.bytes"),
+        forward_chain(r, "amber.forward.chain"),
+        link_messages(r, "net.link.messages"),
+        link_bytes(r, "net.link.bytes"),
+        lock_blocked(r, "sync.lock.blocked"),
+        lock_wait(r, "sync.lock.wait"),
+        lock_hold(r, "sync.lock.hold"),
+        lock_wait_ns(r, "lock.wait_ns"),
+        lock_hold_ns(r, "lock.hold_ns") {}
+
+  metrics::FamilyHandles<metrics::Counter> threads_created;
+  metrics::FamilyHandles<metrics::Histogram> runqueue_wait;
+  metrics::FamilyHandles<metrics::Histogram> runqueue_depth;
+  metrics::FamilyHandles<metrics::Counter> preempts;
+  metrics::FamilyHandles<metrics::Histogram> rpc_latency;
+  metrics::FamilyHandles<metrics::Histogram> invoke_local;
+  metrics::FamilyHandles<metrics::Histogram> invoke_remote;
+  metrics::FamilyHandles<metrics::Histogram> migration_latency;
+  metrics::FamilyHandles<metrics::Counter> migration_bytes;
+  metrics::FamilyHandles<metrics::Histogram> forward_chain;
+  metrics::FamilyHandles<metrics::Counter> link_messages;
+  metrics::FamilyHandles<metrics::Counter> link_bytes;
+  metrics::FamilyHandles<metrics::Counter> lock_blocked;    // by lock id
+  metrics::FamilyHandles<metrics::Histogram> lock_wait;     // by node
+  metrics::FamilyHandles<metrics::Histogram> lock_hold;     // total
+  metrics::FamilyHandles<metrics::Histogram> lock_wait_ns;  // by lock id
+  metrics::FamilyHandles<metrics::Histogram> lock_hold_ns;  // by lock id
+};
 
 // Bridges the lower layers' observer interfaces (sim::SchedObserver,
 // rpc::TransportObserver, fault::FaultSink) into the RuntimeObserver and
@@ -64,6 +109,22 @@ struct Runtime::Instrumentation : public sim::SchedObserver,
   std::unordered_map<uint64_t, Time> rpc_depart;
   // ids that needed at least one retransmission (for rpc.retry.latency).
   std::unordered_set<uint64_t> rpc_retried;
+  // Invocation span labels, demangled once per dynamic type. Keyed by the
+  // type_info name, which is unique to its type within one binary.
+  std::unordered_map<const char*, std::string> object_labels;
+
+  const std::string& ObjectLabel(const Object* obj) {
+    static const std::string kStackLocal = "stack-local";
+    if (obj == nullptr) {
+      return kStackLocal;
+    }
+    const char* raw = typeid(*obj).name();
+    auto it = object_labels.find(raw);
+    if (it == object_labels.end()) {
+      it = object_labels.emplace(raw, Demangle(raw)).first;
+    }
+    return it->second;
+  }
 
   // --- sim::SchedObserver ----------------------------------------------------
   void OnFiberCreate(Time when, sim::NodeId node, const sim::Fiber& f) override {
@@ -77,7 +138,7 @@ struct Runtime::Instrumentation : public sim::SchedObserver,
       o->OnThreadCreate(when, node, f.id, f.name, parent);
     }
     if (rt->metrics_ != nullptr) {
-      rt->metrics_->GetCounter("sched.threads.created", node).Add();
+      rt->metric_handles_->threads_created.Node(node).Add();
     }
   }
   void OnFiberDispatch(Time when, sim::NodeId node, const sim::Fiber& f,
@@ -87,10 +148,9 @@ struct Runtime::Instrumentation : public sim::SchedObserver,
       o->OnThreadDispatch(when, node, f.id, queue_wait);
     }
     if (rt->metrics_ != nullptr) {
-      rt->metrics_->GetHistogram("sched.runqueue.wait", node)
-          .Record(static_cast<double>(queue_wait));
-      rt->metrics_->GetHistogram("sched.runqueue.depth", node)
-          .Record(static_cast<double>(rt->sim_->RunQueueLength(node)));
+      MetricHandles& h = *rt->metric_handles_;
+      h.runqueue_wait.Node(node).Record(static_cast<double>(queue_wait));
+      h.runqueue_depth.Node(node).Record(static_cast<double>(rt->sim_->RunQueueLength(node)));
     }
   }
   void OnFiberBlock(Time when, sim::NodeId node, const sim::Fiber& f) override {
@@ -112,7 +172,7 @@ struct Runtime::Instrumentation : public sim::SchedObserver,
       o->OnThreadPreempt(when, node, f.id);
     }
     if (rt->metrics_ != nullptr) {
-      rt->metrics_->GetCounter("sched.preempts", node).Add();
+      rt->metric_handles_->preempts.Node(node).Add();
     }
   }
   void OnFiberExit(Time when, sim::NodeId node, const sim::Fiber& f) override {
@@ -143,8 +203,8 @@ struct Runtime::Instrumentation : public sim::SchedObserver,
       auto it = rpc_depart.find(id);
       if (it != rpc_depart.end()) {
         // Latency as seen by the requester (dst of the reply).
-        rt->metrics_->GetHistogram("rpc.roundtrip.latency", dst)
-            .Record(static_cast<double>(reply_arrive - it->second));
+        rt->metric_handles_->rpc_latency.Node(dst).Record(
+            static_cast<double>(reply_arrive - it->second));
         if (auto rit = rpc_retried.find(id); rit != rpc_retried.end()) {
           // First-departure-to-reply latency of roundtrips that needed
           // retransmission — the cost of riding out loss.
@@ -497,7 +557,7 @@ void Runtime::EnterInvocation(Object* primary, int64_t args_wire_bytes) {
     if (!observers_.empty()) {
       telemetry::ScopedWallTimer fanout(telemetry::Bucket::kObserverFanout);
       const Time now = sim_->Now();
-      const std::string label = ObjectLabel(primary);
+      const std::string& label = instr_->ObjectLabel(primary);
       const ThreadId tid = t->fiber_->id;
       for (RuntimeObserver* o : observers_) {
         o->OnInvokeEnter(now, here(), tid, primary, label, remote, origin, now - chase_start);
@@ -522,11 +582,9 @@ void Runtime::ExitInvocation(int64_t result_wire_bytes) {
     const Time now = sim_->Now();
     const Duration span = now - done.enter;
     if (metrics_ != nullptr) {
-      metrics_
-          ->GetHistogram(done.remote ? "amber.invoke.latency.remote"
-                                     : "amber.invoke.latency.local",
-                         here())
-          .Record(static_cast<double>(span));
+      MetricHandles& h = *metric_handles_;
+      (done.remote ? h.invoke_remote : h.invoke_local).Node(here()).Record(
+          static_cast<double>(span));
     }
     if (!observers_.empty()) {
       telemetry::ScopedWallTimer fanout(telemetry::Bucket::kObserverFanout);
@@ -574,8 +632,8 @@ Status Runtime::TravelThread(NodeId dst, int64_t extra_bytes) {
     rpc_->Travel(dst, payload);
     if (metrics_ != nullptr) {
       // Departure decision to running again at dst (marshal + wire + dispatch).
-      metrics_->GetHistogram("amber.migration.latency").Record(static_cast<double>(sim_->Now() - depart));
-      metrics_->GetCounter("amber.migration.bytes").Add(payload);
+      metric_handles_->migration_latency.Total().Record(static_cast<double>(sim_->Now() - depart));
+      metric_handles_->migration_bytes.Total().Add(payload);
     }
     return Status::kOk;
   }
@@ -597,8 +655,8 @@ Status Runtime::TravelThread(NodeId dst, int64_t extra_bytes) {
     o->OnThreadMigrate(depart, src, dst, t->fiber_->id, payload);
   }
   if (metrics_ != nullptr) {
-    metrics_->GetHistogram("amber.migration.latency").Record(static_cast<double>(sim_->Now() - depart));
-    metrics_->GetCounter("amber.migration.bytes").Add(payload);
+    metric_handles_->migration_latency.Total().Record(static_cast<double>(sim_->Now() - depart));
+    metric_handles_->migration_bytes.Total().Add(payload);
   }
   return Status::kOk;
 }
@@ -673,7 +731,7 @@ void Runtime::EnsureResident(Object* obj, int64_t payload_bytes) {
     visited.emplace_back(cur, target);
   }
   if (hops > 0 && metrics_ != nullptr) {
-    metrics_->GetHistogram("amber.forward.chain").Record(static_cast<double>(hops));
+    metric_handles_->forward_chain.Total().Record(static_cast<double>(hops));
   }
   // Path compaction (§3.3): every node along the chain learns the final
   // location, via asynchronous hint updates.
@@ -1850,6 +1908,7 @@ void Runtime::RemoveObserver(RuntimeObserver* observer) {
 
 void Runtime::SetMetrics(metrics::Registry* registry) {
   metrics_ = registry;
+  metric_handles_ = registry != nullptr ? std::make_unique<MetricHandles>(registry) : nullptr;
   if (registry != nullptr) {
     // Pre-register the live-path families so the document always contains
     // them (at zero) even when the run never hits a path.
@@ -1962,9 +2021,8 @@ void Runtime::UpdateInstrumentation() {
             o->OnMessage(depart, arrive, src, dst, bytes);
           }
           if (metrics_ != nullptr) {
-            const std::string link = metrics::Registry::LinkLabel(src, dst);
-            metrics_->GetCounter("net.link.messages", link).Add();
-            metrics_->GetCounter("net.link.bytes", link).Add(bytes);
+            metric_handles_->link_messages.Link(src, dst, nodes()).Add();
+            metric_handles_->link_bytes.Link(src, dst, nodes()).Add(bytes);
           }
         });
   } else {
@@ -2033,7 +2091,7 @@ void Runtime::NotifyLockBlocked(const void* lock) {
     }
   }
   if (metrics_ != nullptr) {
-    metrics_->GetCounter("sync.lock.blocked", "lock" + std::to_string(id)).Add();
+    PerLock(metric_handles_->lock_blocked, id).Add();
   }
 }
 
@@ -2049,11 +2107,10 @@ void Runtime::NotifyLockAcquired(const void* lock, Duration wait) {
     }
   }
   if (metrics_ != nullptr) {
-    metrics_->GetHistogram("sync.lock.wait", here()).Record(static_cast<double>(wait));
+    metric_handles_->lock_wait.Node(here()).Record(static_cast<double>(wait));
     // Per-lock wait-time distribution (the placement/contention advisor's
     // input): labelled by the dense lock id, like sync.lock.blocked.
-    metrics_->GetHistogram("lock.wait_ns", "lock" + std::to_string(id))
-        .Record(static_cast<double>(wait));
+    PerLock(metric_handles_->lock_wait_ns, id).Record(static_cast<double>(wait));
   }
 }
 
@@ -2106,10 +2163,9 @@ void Runtime::NotifyLockReleased(const void* lock) {
     }
   }
   if (metrics_ != nullptr) {
-    metrics_->GetHistogram("sync.lock.hold").Record(static_cast<double>(held));
+    metric_handles_->lock_hold.Total().Record(static_cast<double>(held));
     // Per-lock hold-time distribution, same labelling as lock.wait_ns.
-    metrics_->GetHistogram("lock.hold_ns", "lock" + std::to_string(id))
-        .Record(static_cast<double>(held));
+    PerLock(metric_handles_->lock_hold_ns, id).Record(static_cast<double>(held));
   }
 }
 

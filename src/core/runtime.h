@@ -672,6 +672,9 @@ class Runtime {
   // RuntimeObserver + registry; allocated on demand (see runtime.cc).
   struct Instrumentation;
   std::unique_ptr<Instrumentation> instr_;
+  // Per-event metric handles into metrics_ (runtime.cc); null without one.
+  struct MetricHandles;
+  std::unique_ptr<MetricHandles> metric_handles_;
   std::unordered_map<const void*, int> sync_ids_;  // lock/cond -> dense id
   struct LockHold {
     Time since = 0;

@@ -683,7 +683,7 @@ void Recorder::WriteDump(std::ostream& out, const std::string& reason,
   out << "  \"threads\": [";
   {
     bool first = true;
-    for (const auto& [tid, t] : threads_) {
+    threads_.ForEach([&](ThreadId tid, const ThreadLive& t) {
       out << (first ? "" : ",") << "\n    {\"thread\":" << tid << ",\"name\":\"";
       EscapeJson(out, t.name);
       out << "\",\"parent\":" << t.parent << ",\"node\":" << t.node << ",\"status\":\"";
@@ -721,7 +721,7 @@ void Recorder::WriteDump(std::ostream& out, const std::string& reason,
       }
       out << "]}";
       first = false;
-    }
+    });
   }
   out << "\n  ],\n";
 

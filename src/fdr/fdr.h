@@ -44,6 +44,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/base/id_table.h"
 #include "src/core/runtime.h"
 
 namespace fdr {
@@ -271,7 +272,7 @@ class Recorder : public amber::BlackBox {
   std::vector<Ring> rings_;
   Time last_time_ = 0;
 
-  std::map<ThreadId, ThreadLive> threads_;
+  amber::IdTable<ThreadLive> threads_;  // by thread id (dense fiber ids)
   std::map<int, LockLive> locks_;
   std::map<uint64_t, RpcLive> rpcs_;
   std::map<NodeId, std::set<NodeId>> suspects_;  // viewer -> suspected peers

@@ -39,6 +39,19 @@ std::string Quote(const std::string& s) {
 
 }  // namespace
 
+HistogramSnapshot Histogram::Snapshot() const {
+  HistogramSnapshot s{acc_.count(), acc_.sum(), {}};
+  if (bucket_counts_ == nullptr) {
+    return s;
+  }
+  for (int b = 0; b < kBuckets; ++b) {
+    if ((*bucket_counts_)[b] != 0) {
+      s.buckets.emplace_hint(s.buckets.end(), b, (*bucket_counts_)[b]);
+    }
+  }
+  return s;
+}
+
 IntervalSummary Histogram::Diff(const HistogramSnapshot& prev, const HistogramSnapshot& cur) {
   std::map<int, int64_t> deltas;
   for (const auto& [bucket, count] : cur.buckets) {
@@ -55,20 +68,21 @@ namespace {
 
 // Percentile estimate over bucketed counts: find the bucket holding the
 // target rank, interpolate linearly inside its value range. Bucket 0 covers
-// [0, 2), bucket b >= 1 covers [2^b, 2^(b+1)).
+// [0, 2), bucket b >= 1 covers [2^b, 2^(b+1)). The bounds are exact powers
+// of two as doubles, so the top buckets (62, 63) need no 64-bit shift.
 double BucketPercentile(const std::map<int, int64_t>& buckets, int64_t total, double p) {
   const double rank = (p / 100.0) * static_cast<double>(total - 1);
   int64_t below = 0;
   for (const auto& [bucket, count] : buckets) {
     if (static_cast<double>(below + count) > rank) {
-      const double lo = bucket == 0 ? 0.0 : static_cast<double>(int64_t{1} << bucket);
-      const double hi = static_cast<double>(int64_t{1} << (bucket + 1));
+      const double lo = bucket == 0 ? 0.0 : std::ldexp(1.0, bucket);
+      const double hi = std::ldexp(1.0, bucket + 1);
       const double frac = (rank - static_cast<double>(below)) / static_cast<double>(count);
       return lo + frac * (hi - lo);
     }
     below += count;
   }
-  return buckets.empty() ? 0.0 : static_cast<double>(int64_t{1} << (buckets.rbegin()->first + 1));
+  return buckets.empty() ? 0.0 : std::ldexp(1.0, buckets.rbegin()->first + 1);
 }
 
 }  // namespace

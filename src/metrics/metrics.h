@@ -18,11 +18,15 @@
 #ifndef AMBER_SRC_METRICS_METRICS_H_
 #define AMBER_SRC_METRICS_METRICS_H_
 
+#include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <ostream>
 #include <string>
+#include <vector>
 
 #include "src/base/stats.h"
 
@@ -100,7 +104,10 @@ class Histogram {
   void Record(double v) {
     samples_.Add(v);
     acc_.Add(v);
-    ++bucket_counts_[BucketOf(v)];
+    if (bucket_counts_ == nullptr) {
+      bucket_counts_ = std::make_unique<Buckets>();
+    }
+    ++(*bucket_counts_)[BucketOf(v)];
   }
 
   // Records v and, when trace_id is nonzero (a sampled trace), retains it as
@@ -128,23 +135,19 @@ class Histogram {
     return PercentileSummary{Percentile(50), Percentile(90), Percentile(99), Percentile(99.9)};
   }
 
-  // Bucket index: floor(log2(v)) for v >= 1, 0 below (ordered map keys keep
-  // the JSON rendering deterministic).
+  // Bucket index: floor(log2(v)) for v >= 1, 0 below — at most 63, so the
+  // buckets fit a fixed array of kBuckets.
+  static constexpr int kBuckets = 64;
   static int BucketOf(double v) {
-    uint64_t n = v >= 1.0 ? static_cast<uint64_t>(v) : 1;
-    int b = 0;
-    while (n >>= 1) {
-      ++b;
-    }
-    return b;
+    const uint64_t n = v >= 1.0 ? static_cast<uint64_t>(v) : 1;
+    return std::bit_width(n) - 1;
   }
 
-  // Cumulative snapshot for interval diffing (see HistogramSnapshot). Pure
-  // read: takes nothing out of the histogram, so cumulative dumps taken
-  // before and after a snapshot render byte-identically.
-  HistogramSnapshot Snapshot() const {
-    return HistogramSnapshot{acc_.count(), acc_.sum(), bucket_counts_};
-  }
+  // Cumulative snapshot for interval diffing (see HistogramSnapshot): the
+  // nonzero buckets in ascending order. Pure read: takes nothing out of the
+  // histogram, so cumulative dumps taken before and after a snapshot render
+  // byte-identically.
+  HistogramSnapshot Snapshot() const;
 
   // The observations that landed between `prev` and `cur` (prev must be the
   // earlier snapshot of the same histogram). Zero summary for an empty
@@ -168,7 +171,11 @@ class Histogram {
  private:
   mutable amber::Samples samples_;  // Percentile() sorts lazily
   amber::Accumulator acc_;
-  std::map<int, int64_t> bucket_counts_;  // cumulative, for Snapshot()
+  // Cumulative per-bucket counts, for Snapshot(). Allocated by the first
+  // Record, so registering a family that may never record (SetMetrics
+  // registers dozens up front) costs no more than it did with a map.
+  using Buckets = std::array<int64_t, kBuckets>;
+  std::unique_ptr<Buckets> bucket_counts_;
   std::map<int, Exemplar> exemplars_;
 };
 
@@ -208,6 +215,16 @@ class Registry {
     return GetHistogram(name, NodeLabel(node));
   }
   Histogram& GetHistogram(const std::string& name, const std::string& label);
+
+  // GetCounter / GetHistogram by metric type, for code templated on it
+  // (FamilyHandles).
+  template <typename Metric>
+  Metric& Get(const std::string& name, const std::string& label);
+
+  // True when `metric` is one of the label-cap sinks.
+  bool IsSink(const void* metric) const {
+    return metric == &counter_sink_ || metric == &gauge_sink_ || metric == &histogram_sink_;
+  }
 
   // Maximum distinct labels per family before new labels drop to the sink.
   void SetLabelCap(size_t cap) { label_cap_ = cap; }
@@ -261,6 +278,61 @@ class Registry {
   Counter counter_sink_;
   Gauge gauge_sink_;
   Histogram histogram_sink_;
+};
+
+template <>
+inline Counter& Registry::Get<Counter>(const std::string& name, const std::string& label) {
+  return GetCounter(name, label);
+}
+template <>
+inline Histogram& Registry::Get<Histogram>(const std::string& name, const std::string& label) {
+  return GetHistogram(name, label);
+}
+
+// One metric family's instances, resolved once per dense index — a node id,
+// a link index, a lock id — so a per-event record is one indexed load
+// instead of a name-and-label map walk plus a label string build. The first
+// use of an index goes through the registry's Get* call, so each label is
+// created at exactly the moment an uncached lookup would create it. A
+// lookup the label cap dropped into the sink is never kept: the next use
+// looks up again and counts as another dropped label, as it would uncached.
+template <typename Metric>
+class FamilyHandles {
+ public:
+  FamilyHandles() = default;
+  FamilyHandles(Registry* registry, const char* name) : registry_(registry), name_(name) {}
+
+  Metric& Total() { return At(0, [] { return std::string("total"); }); }
+  Metric& Node(int node) {
+    return At(static_cast<size_t>(node), [node] { return Registry::NodeLabel(node); });
+  }
+  // The "src->dst" instance of a cluster of `nodes` nodes.
+  Metric& Link(int src, int dst, int nodes) {
+    return At(static_cast<size_t>(src) * static_cast<size_t>(nodes) + static_cast<size_t>(dst),
+              [src, dst] { return Registry::LinkLabel(src, dst); });
+  }
+
+  // The instance of `index`; `label()` builds its label and runs only while
+  // the index is unresolved.
+  template <typename Label>
+  Metric& At(size_t index, Label&& label) {
+    if (index < handles_.size() && handles_[index] != nullptr) {
+      return *handles_[index];
+    }
+    Metric& m = registry_->Get<Metric>(name_, label());
+    if (!registry_->IsSink(&m)) {
+      if (index >= handles_.size()) {
+        handles_.resize(index + 1, nullptr);
+      }
+      handles_[index] = &m;
+    }
+    return m;
+  }
+
+ private:
+  Registry* registry_ = nullptr;
+  const char* name_ = "";
+  std::vector<Metric*> handles_;
 };
 
 }  // namespace metrics

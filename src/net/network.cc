@@ -8,6 +8,12 @@
 
 namespace net {
 
+void Network::SetMetrics(metrics::Registry* registry) {
+  metrics_ = registry;
+  link_bytes_ = {registry, "net.link_bytes"};
+  link_queue_depth_ = {registry, "net.link_queue_depth"};
+}
+
 Time Network::AcquireChannel(NodeId src, NodeId dst, Time ready, Duration wire) {
   Time* free_at = &bus_free_at_;
   if (topology_ == Topology::kSwitched) {
@@ -19,8 +25,7 @@ Time Network::AcquireChannel(NodeId src, NodeId dst, Time ready, Duration wire) 
     // frame-times of its own wire duration (0 = idle channel).
     const Duration backlog = start - ready;
     const int64_t depth = wire > 0 ? (backlog + wire - 1) / wire : (backlog > 0 ? 1 : 0);
-    metrics_->GetHistogram("net.link_queue_depth", metrics::Registry::LinkLabel(src, dst))
-        .Record(static_cast<double>(depth));
+    link_queue_depth_.Link(src, dst, kernel_->nodes()).Record(static_cast<double>(depth));
   }
   *free_at = start + wire;
   busy_ns_ += wire;
@@ -29,8 +34,7 @@ Time Network::AcquireChannel(NodeId src, NodeId dst, Time ready, Duration wire) 
 
 void Network::RecordLinkTx(NodeId src, NodeId dst, int64_t bytes) {
   if (metrics_ != nullptr) {
-    metrics_->GetHistogram("net.link_bytes", metrics::Registry::LinkLabel(src, dst))
-        .Record(static_cast<double>(bytes));
+    link_bytes_.Link(src, dst, kernel_->nodes()).Record(static_cast<double>(bytes));
   }
 }
 

@@ -21,12 +21,9 @@
 #include <utility>
 
 #include "src/base/stats.h"
+#include "src/metrics/metrics.h"
 #include "src/sim/cost_model.h"
 #include "src/sim/kernel.h"
-
-namespace metrics {
-class Registry;
-}
 
 namespace net {
 
@@ -141,7 +138,7 @@ class Network {
   // the frame when it was ready to transmit; 0 = idle channel). Loopback
   // sends never touch a link and record nothing. Observation only: timings
   // are unchanged.
-  void SetMetrics(metrics::Registry* registry) { metrics_ = registry; }
+  void SetMetrics(metrics::Registry* registry);
 
  private:
   // Reserves the channel (the shared bus, or the src->dst link) for a
@@ -175,6 +172,9 @@ class Network {
   MessageObserver on_message_;
   FaultFilter* fault_ = nullptr;
   metrics::Registry* metrics_ = nullptr;
+  // Per-link handles into metrics_, resolved on first use.
+  metrics::FamilyHandles<metrics::Histogram> link_bytes_;
+  metrics::FamilyHandles<metrics::Histogram> link_queue_depth_;
 };
 
 }  // namespace net

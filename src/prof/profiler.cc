@@ -36,13 +36,13 @@ constexpr int kStallLimit = 64;
 // --- Event recording --------------------------------------------------------------
 
 Profiler::ThreadState& Profiler::Ensure(ThreadId tid, Time when) {
-  auto [it, inserted] = threads_.try_emplace(tid);
+  auto [st, inserted] = threads_.TryEmplace(tid);
   if (inserted) {
-    it->second.name = "t" + std::to_string(tid);
-    it->second.create_time = when;
-    it->second.cursor = when;
+    st.name = "t" + std::to_string(tid);
+    st.create_time = when;
+    st.cursor = when;
   }
-  return it->second;
+  return st;
 }
 
 void Profiler::CloseSegment(ThreadState& st, Time when, SegKind kind, Cause cause, NodeId node,
@@ -281,9 +281,9 @@ void Profiler::OnRpcResponse(Time when, Time reply_arrive, NodeId src, NodeId ds
   if (it == rpc_requester_.end()) {
     return;
   }
-  const auto tit = threads_.find(it->second);
-  if (tit != threads_.end() && tit->second.rpc_armed) {
-    tit->second.rpc_replied = true;
+  ThreadState* st = threads_.Find(it->second);
+  if (st != nullptr && st->rpc_armed) {
+    st->rpc_replied = true;
   }
   rpc_requester_.erase(it);
 }
@@ -384,11 +384,10 @@ ProfileReport Profiler::Finalize() {
   r.total_ns = last_time_;
 
   // Close segments still open at the horizon (threads that never exited).
-  for (auto& [tid, st] : threads_) {
-    if (st.status == Status::kExited) {
-      continue;
-    }
+  threads_.ForEach([&](ThreadId tid, ThreadState& st) {
     switch (st.status) {
+      case Status::kExited:
+        break;
       case Status::kRunning:
         CloseSegment(st, last_time_, SegKind::kRunning, Cause::kNone, st.node);
         break;
@@ -399,7 +398,7 @@ ProfileReport Profiler::Finalize() {
         CloseSegment(st, last_time_, SegKind::kQueued, Cause::kNone, st.node);
         break;
     }
-  }
+  });
 
   // Aggregates.
   for (size_t i = 0; i < objects_.size(); ++i) {
@@ -430,24 +429,22 @@ ProfileReport Profiler::Finalize() {
   ThreadId start = 0;
   Time best_exit = -1;
   int64_t best_seq = -1;
-  for (const auto& [tid, st] : threads_) {
-    if (st.exit_seq < 0) {
-      continue;
-    }
-    if (st.exit_time > best_exit || (st.exit_time == best_exit && st.exit_seq > best_seq)) {
+  threads_.ForEach([&](ThreadId tid, const ThreadState& st) {
+    if (st.exit_seq >= 0 &&
+        (st.exit_time > best_exit || (st.exit_time == best_exit && st.exit_seq > best_seq))) {
       best_exit = st.exit_time;
       best_seq = st.exit_seq;
       start = tid;
     }
-  }
+  });
   if (start == 0) {
     Time best = -1;
-    for (const auto& [tid, st] : threads_) {
+    threads_.ForEach([&](ThreadId tid, const ThreadState& st) {
       if (st.cursor > best) {
         best = st.cursor;
         start = tid;
       }
-    }
+    });
   }
   if (start == 0 || r.total_ns == 0) {
     return r;
@@ -483,17 +480,17 @@ ProfileReport Profiler::Finalize() {
     }
     const bool forced = stall > kStallLimit;  // cycle guard: stop jumping
 
-    const auto it = threads_.find(t);
-    if (it == threads_.end()) {
+    const ThreadState* found = threads_.Find(t);
+    if (found == nullptr) {
       attribute("rpc.net", 0);
       break;
     }
-    const ThreadState& st = it->second;
+    const ThreadState& st = *found;
     const int si = SegmentBefore(st, cursor);
     if (si < 0) {
       // At or before this thread's creation: follow the creation edge (the
       // parent was running CreateThread at this instant).
-      if (st.parent != 0 && threads_.count(st.parent) != 0 && !forced) {
+      if (st.parent != 0 && threads_.Find(st.parent) != nullptr && !forced) {
         t = st.parent;
         continue;
       }
@@ -536,10 +533,10 @@ ProfileReport Profiler::Finalize() {
             // Jump to the thread that caused the wake, at the time it called
             // Wake; the remainder (wake -> unblock delivery) is scheduler
             // latency on the sleeper's node.
-            const auto wit = threads_.find(seg.other);
+            const ThreadState* waker = threads_.Find(seg.other);
             const Time jump = std::max(seg.start, std::min(seg.wake_time, cursor));
-            const bool can_jump = !forced && jump > 0 && wit != threads_.end() &&
-                                  SegmentBefore(wit->second, jump) >= 0;
+            const bool can_jump = !forced && jump > 0 && waker != nullptr &&
+                                  SegmentBefore(*waker, jump) >= 0;
             if (can_jump) {
               attribute(NodeCat("queue.node", seg.node), jump);
               t = seg.other;
@@ -666,7 +663,7 @@ ProfileReport Profiler::Finalize() {
 }
 
 void Profiler::Reset() {
-  threads_.clear();
+  threads_.Clear();
   obj_ids_.clear();
   objects_.clear();
   locks_.clear();

@@ -50,6 +50,7 @@
 #include <string>
 #include <vector>
 
+#include "src/base/id_table.h"
 #include "src/core/runtime.h"
 
 namespace prof {
@@ -257,7 +258,7 @@ class Profiler : public amber::RuntimeObserver {
   // segment before t (gap), or -1 if t is at/before the first segment.
   int SegmentBefore(const ThreadState& st, Time t) const;
 
-  std::map<ThreadId, ThreadState> threads_;
+  amber::IdTable<ThreadState> threads_;  // by thread id (dense fiber ids)
   std::map<const void*, int> obj_ids_;
   std::vector<ObjectAgg> objects_;      // by dense id
   std::map<int, LockAgg> locks_;        // by lock id

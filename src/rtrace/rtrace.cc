@@ -19,7 +19,8 @@ void EscapeJson(std::ostream& out, const std::string& s) {
 }
 
 // Every completed trace carries all categories (zero included), so dumps
-// diff cleanly and consumers need no key-existence checks.
+// diff cleanly and consumers need no key-existence checks. Indexed by
+// Tracer::Category.
 constexpr const char* kCategories[] = {"compute", "join",     "lock",  "migration", "other",
                                        "queue",   "recovery", "retry", "rpc"};
 
@@ -163,35 +164,32 @@ Span* Tracer::FindSpan(Trace& trace, uint64_t span_id) {
   return nullptr;
 }
 
-void Tracer::CloseSegment(ThreadCtx& ctx, Time when, const char* category) {
-  Trace* t = TraceOf(ctx);
-  if (t != nullptr) {
-    // Consecutive segment deltas telescope, so the category sums equal
-    // end - start *exactly* no matter how the run interleaved.
-    t->attribution[category] += when - ctx.seg_start;
-  }
+void Tracer::CloseSegment(ThreadCtx& ctx, Time when, Category category) {
+  // Consecutive segment deltas telescope, so the category sums equal
+  // end - start *exactly* no matter how the run interleaved.
+  *ctx.attribution[category] += when - ctx.seg_start;
   ctx.seg_start = when;
 }
 
-const char* Tracer::BlockedCategory(const ThreadCtx& ctx) const {
+Tracer::Category Tracer::BlockedCategory(const ThreadCtx& ctx) const {
   if (ctx.recovery_depth > 0) {
-    return "recovery";
+    return kRecovery;
   }
   switch (ctx.blocked_cause) {
     case Cause::kRpc:
-      return "rpc";
+      return kRpc;
     case Cause::kRetry:
-      return "retry";
+      return kRetry;
     case Cause::kLock:
-      return "lock";
+      return kLock;
     case Cause::kMigration:
-      return "migration";
+      return kMigration;
     case Cause::kJoin:
-      return "join";
+      return kJoin;
     case Cause::kOther:
       break;
   }
-  return "other";
+  return kOther;
 }
 
 void Tracer::FinishTrace(ThreadCtx& ctx, Time when) {
@@ -216,7 +214,7 @@ void Tracer::FinishTrace(ThreadCtx& ctx, Time when) {
 void Tracer::EvictIfOverCapacity() {
   while (completion_order_.size() > config_.max_traces) {
     const uint64_t victim = completion_order_.front();
-    completion_order_.erase(completion_order_.begin());
+    completion_order_.pop_front();
     traces_.erase(victim);
     ++traces_evicted_;
   }
@@ -267,10 +265,10 @@ void Tracer::OnThreadCreate(Time when, NodeId node, ThreadId thread, const std::
     t.name = req.name;
     t.root_thread = thread;
     t.start = when;
-    for (const char* cat : kCategories) {
-      t.attribution[cat] = 0;
-    }
     ThreadCtx& ctx = threads_[thread];
+    for (int c = 0; c < kCategoryCount; ++c) {
+      ctx.attribution[c] = &t.attribution[kCategories[c]];
+    }
     ctx.trace_id = req.trace_id;
     ctx.is_root = true;
     ctx.state = RunState::kQueued;
@@ -320,7 +318,7 @@ void Tracer::OnThreadDispatch(Time when, NodeId node, ThreadId thread, Duration 
     return;
   }
   if (ctx->state == RunState::kQueued) {
-    CloseSegment(*ctx, when, "queue");
+    CloseSegment(*ctx, when, kQueue);
   }
   ctx->state = RunState::kRunning;
 }
@@ -330,7 +328,7 @@ void Tracer::OnThreadBlock(Time when, NodeId node, ThreadId thread) {
   if (ctx == nullptr || !ctx->is_root) {
     return;
   }
-  CloseSegment(*ctx, when, "compute");
+  CloseSegment(*ctx, when, kCompute);
   ctx->state = RunState::kBlocked;
   ctx->blocked_cause = ctx->pending;
   ctx->pending = Cause::kOther;
@@ -353,7 +351,7 @@ void Tracer::OnThreadPreempt(Time when, NodeId node, ThreadId thread) {
     return;
   }
   if (ctx->state == RunState::kRunning) {
-    CloseSegment(*ctx, when, "compute");
+    CloseSegment(*ctx, when, kCompute);
   }
   ctx->state = RunState::kQueued;
 }
@@ -366,10 +364,10 @@ void Tracer::OnThreadExit(Time when, NodeId node, ThreadId thread) {
   if (ctx->is_root) {
     switch (ctx->state) {
       case RunState::kRunning:
-        CloseSegment(*ctx, when, "compute");
+        CloseSegment(*ctx, when, kCompute);
         break;
       case RunState::kQueued:
-        CloseSegment(*ctx, when, "queue");
+        CloseSegment(*ctx, when, kQueue);
         break;
       case RunState::kBlocked:
         CloseSegment(*ctx, when, BlockedCategory(*ctx));

@@ -50,7 +50,9 @@
 #ifndef AMBER_SRC_RTRACE_RTRACE_H_
 #define AMBER_SRC_RTRACE_RTRACE_H_
 
+#include <array>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <ostream>
 #include <string>
@@ -241,6 +243,19 @@ class Tracer : public amber::RuntimeObserver, public rpc::TraceHook {
     kJoin,
   };
   enum class RunState : uint8_t { kQueued, kRunning, kBlocked };
+  // The nine attribution categories, in Trace::attribution's key order.
+  enum Category : uint8_t {
+    kCompute,
+    kJoin,
+    kLock,
+    kMigration,
+    kOther,
+    kQueue,
+    kRecovery,
+    kRetry,
+    kRpc,
+    kCategoryCount,
+  };
 
   struct ThreadCtx {
     uint64_t trace_id = 0;
@@ -254,6 +269,9 @@ class Tracer : public amber::RuntimeObserver, public rpc::TraceHook {
     int recovery_depth = 0;
     uint64_t open_migration_span = 0;  // close at the next dispatch
     uint64_t open_recovery_span = 0;
+    // Root only: the trace's attribution entries, resolved at creation. The
+    // trace outlives its root thread's context, so these stay valid.
+    std::array<Duration*, kCategoryCount> attribution{};
   };
 
   struct ArmedRequest {
@@ -269,8 +287,8 @@ class Tracer : public amber::RuntimeObserver, public rpc::TraceHook {
   Span* FindSpan(Trace& trace, uint64_t span_id);
   // Closes the root thread's current attribution segment at `when` under
   // `category` and opens the next one.
-  void CloseSegment(ThreadCtx& ctx, Time when, const char* category);
-  const char* BlockedCategory(const ThreadCtx& ctx) const;
+  void CloseSegment(ThreadCtx& ctx, Time when, Category category);
+  Category BlockedCategory(const ThreadCtx& ctx) const;
   void FinishTrace(ThreadCtx& ctx, Time when);
   void EvictIfOverCapacity();
 
@@ -280,7 +298,7 @@ class Tracer : public amber::RuntimeObserver, public rpc::TraceHook {
   std::unordered_map<ThreadId, ThreadCtx> threads_;          // traced threads only
   std::unordered_map<ThreadId, ArmedRequest> armed_;         // parent -> next-create binding
   std::unordered_map<uint64_t, std::pair<uint64_t, uint64_t>> open_rpcs_;  // rpc id -> (trace, span)
-  std::vector<uint64_t> completion_order_;  // trace eviction order
+  std::deque<uint64_t> completion_order_;  // trace eviction order
   uint64_t next_trace_id_ = 1;
   uint64_t next_span_id_ = 1;
   int64_t requests_seen_ = 0;

@@ -88,6 +88,9 @@ class Fiber {
   Context ctx;
   void* stack_base = nullptr;
   size_t stack_size = 0;
+
+  // Position in the kernel's creation-order fiber table (kernel-private).
+  size_t slot = 0;
 };
 
 }  // namespace sim

@@ -43,6 +43,7 @@ Fiber* Kernel::Spawn(NodeId node, void* stack_base, size_t stack_size, std::func
   f->stack_size = stack_size;
   f->vtime = Now();
   f->ctx.Init(stack_base, stack_size, &FiberEntry, f);
+  f->slot = fibers_.size();
   fibers_.push_back(std::move(owned));
   ++live_fibers_;
   if (sched_observer_ != nullptr) {
@@ -57,15 +58,24 @@ Fiber* Kernel::Spawn(NodeId node, void* stack_base, size_t stack_size, std::func
 
 void Kernel::DestroyFiber(Fiber* f) {
   AMBER_CHECK(f->state == FiberState::kFinished) << "destroying live fiber " << f->name;
-  auto it = std::find_if(fibers_.begin(), fibers_.end(),
-                         [f](const std::unique_ptr<Fiber>& p) { return p.get() == f; });
-  AMBER_CHECK(it != fibers_.end());
-  fibers_.erase(it);
+  AMBER_CHECK(f->slot < fibers_.size() && fibers_[f->slot].get() == f);
+  fibers_[f->slot].reset();
+  // Squeeze the holes out once they are half the table: O(1) amortized per
+  // destroy, and the survivors keep their creation order.
+  if (++dead_fibers_ * 2 > fibers_.size()) {
+    std::erase(fibers_, nullptr);
+    for (size_t i = 0; i < fibers_.size(); ++i) {
+      fibers_[i]->slot = i;
+    }
+    dead_fibers_ = 0;
+  }
 }
 
 void Kernel::ForEachFiber(const std::function<void(const Fiber&)>& fn) const {
   for (const auto& f : fibers_) {
-    fn(*f);
+    if (f != nullptr) {
+      fn(*f);
+    }
   }
 }
 
@@ -411,19 +421,19 @@ Time Kernel::Run() {
   if (live_fibers_ > 0) {
     AMBER_LOG(kWarn) << "simulation ended with " << live_fibers_
                      << " live fibers (deadlock or leaked threads)";
-    for (const auto& f : fibers_) {
-      if (f->state != FiberState::kFinished) {
-        AMBER_LOG(kWarn) << "  live fiber: " << f->name << " state="
-                         << static_cast<int>(f->state) << " node=" << f->node;
+    ForEachFiber([](const Fiber& f) {
+      if (f.state != FiberState::kFinished) {
+        AMBER_LOG(kWarn) << "  live fiber: " << f.name << " state=" << static_cast<int>(f.state)
+                         << " node=" << f.node;
       }
-    }
+    });
   }
   return queue_.now();
 }
 
 bool Kernel::AnyLiveFiberOnUpNode() const {
   for (const auto& f : fibers_) {
-    if (f->state != FiberState::kFinished && nodes_[f->node].up) {
+    if (f != nullptr && f->state != FiberState::kFinished && nodes_[f->node].up) {
       return true;
     }
   }

@@ -241,7 +241,10 @@ class Kernel {
   CostModel cost_;
   int procs_per_node_;
   std::vector<NodeState> nodes_;
+  // Every fiber not yet destroyed, in creation order; DestroyFiber leaves a
+  // null hole at the fiber's slot until the next compaction.
   std::vector<std::unique_ptr<Fiber>> fibers_;
+  size_t dead_fibers_ = 0;  // null holes in fibers_
   Fiber* current_ = nullptr;
   Context kernel_ctx_;
   std::function<void(Fiber*)> resume_hook_;

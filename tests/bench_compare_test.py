@@ -4,7 +4,8 @@ Each test builds a baseline/current pair of BENCH_<name>.json documents in a
 temp directory and runs the real tool as a subprocess, asserting on exit
 status and output: the 2% virtual-time gate, direction-aware wall-gauge
 gating, ratchet-candidate notes, --refresh rewriting exactly the stale
-baselines, and the sweep-curve comparison (which gates even under
+baselines, --exact document equality outside the host section and wall
+gauges, and the sweep-curve comparison (which gates even under
 --no-wall-gate because the curve derives from virtual time).
 
 Run directly (python3 tests/bench_compare_test.py) or via CTest.
@@ -141,6 +142,41 @@ class BenchCompareTest(unittest.TestCase):
             self.assertEqual(json.load(f), cur_fast)  # rewritten from current
         with open(os.path.join(self.base_dir, "BENCH_steady.json")) as f:
             self.assertEqual(json.load(f), steady_base)  # untouched
+
+    # --- exact documents -----------------------------------------------------
+
+    def test_exact_ignores_host_and_wall_gauges_only(self):
+        base = bench_doc(100, {"run.virtual_time": 100.0, "scale.wall.events_per_sec": 10.0})
+        base["metrics"]["counters"] = {"net.messages": {"total": 7}}
+        base["host"] = {"cpus": 1}
+        cur = bench_doc(100, {"run.virtual_time": 100.0, "scale.wall.events_per_sec": 99.0})
+        cur["metrics"]["counters"] = {"net.messages": {"total": 7}}
+        cur["host"] = {"cpus": 64}
+        self.write(self.base_dir, "a", base)
+        self.write(self.cur_dir, "a", cur)
+        code, out = self.run_tool("--no-wall-gate", "--exact", "a")
+        self.assertEqual(code, 0, out)
+        self.assertNotIn("exact:", out)
+
+        # Any other difference fails, naming its path — even one the
+        # virtual-time gate alone lets through.
+        cur["metrics"]["counters"]["net.messages"]["total"] = 8
+        cur["metrics"]["histograms"] = {"lat": {"total": {"count": 1}}}
+        self.write(self.cur_dir, "a", cur)
+        code, out = self.run_tool("--no-wall-gate", "a")
+        self.assertEqual(code, 0, out)
+        code, out = self.run_tool("--no-wall-gate", "--exact", "a")
+        self.assertEqual(code, 1, out)
+        self.assertIn("/metrics/counters/net.messages/total: 7 -> 8", out)
+        self.assertIn("/metrics/histograms/lat: not in baseline", out)
+        self.assertIn("2 difference(s)", out)
+
+    def test_exact_distinguishes_int_from_float(self):
+        self.write(self.base_dir, "a", bench_doc(100, {"g": 1}))
+        self.write(self.cur_dir, "a", bench_doc(100, {"g": 1.0}))
+        code, out = self.run_tool("--exact", "a")
+        self.assertEqual(code, 1, out)
+        self.assertIn("/metrics/gauges/g/total: 1 -> 1.0", out)
 
     # --- sweep-curve comparison ----------------------------------------------
 

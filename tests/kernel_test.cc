@@ -296,6 +296,42 @@ TEST(KernelTest, DestroyFiberReclaimsRecord) {
   h.k().DestroyFiber(f);  // must not crash; fiber is finished
 }
 
+TEST(KernelTest, DestroyOutOfOrderKeepsCreationOrder) {
+  // The flight recorder renders ForEachFiber's order, so destroying fibers
+  // in any order must leave the survivors in creation order — across the
+  // table compactions that run as the dead outnumber the live.
+  Harness h(1, 1, FreeCpu());
+  std::vector<Fiber*> fibers;
+  for (int i = 0; i < 10; ++i) {
+    fibers.push_back(h.Go(0, [] {}));
+  }
+  h.k().Run();
+  auto live_ids = [&] {
+    std::vector<uint64_t> ids;
+    h.k().ForEachFiber([&](const Fiber& f) { ids.push_back(f.id); });
+    return ids;
+  };
+  for (int i : {7, 2, 9, 0}) {
+    h.k().DestroyFiber(fibers[i]);
+  }
+  EXPECT_EQ(live_ids(), (std::vector<uint64_t>{2, 4, 5, 6, 7, 9}));
+  for (int i : {5, 1}) {
+    h.k().DestroyFiber(fibers[i]);  // 6 of 10 dead: compacts
+  }
+  EXPECT_EQ(live_ids(), (std::vector<uint64_t>{4, 5, 7, 9}));
+  Fiber* late = h.Go(0, [] {});
+  h.k().Run();
+  for (int i : {8, 3}) {
+    h.k().DestroyFiber(fibers[i]);
+  }
+  EXPECT_EQ(live_ids(), (std::vector<uint64_t>{5, 7, late->id}));
+  for (int i : {6, 4}) {
+    h.k().DestroyFiber(fibers[i]);
+  }
+  h.k().DestroyFiber(late);
+  EXPECT_TRUE(live_ids().empty());
+}
+
 TEST(EventQueueTest, OrdersByTimeThenSequence) {
   EventQueue q;
   std::vector<int> order;

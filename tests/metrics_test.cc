@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
+#include <vector>
 
 #include "src/core/amber.h"
 #include "src/core/cluster_report.h"
@@ -65,6 +67,75 @@ TEST(HistogramTest, EmptyHistogramIsSafe) {
   const PercentileSummary s = h.Summary();
   EXPECT_DOUBLE_EQ(s.p50, 0.0);
   EXPECT_DOUBLE_EQ(s.p999, 0.0);
+}
+
+// The bucket of v as the map-backed histogram keyed it: floor(log2(v)) for
+// v >= 1, 0 below — computed here by comparing against powers of two.
+int ReferenceBucket(double v) {
+  if (!(v >= 1.0)) {
+    return 0;
+  }
+  int b = 0;
+  while (std::ldexp(1.0, b + 1) <= v) {
+    ++b;
+  }
+  return b;
+}
+
+TEST(HistogramTest, SnapshotAndDiffMatchMapBuckets) {
+  // Bucket 0 (zero, fractions, negatives), both sides of 2^k edges, and the
+  // top of the range (2^62 and up).
+  const std::vector<double> first = {0.0,    0.5,    -3.0,    1.0,     1.999,   2.0,
+                                     3.0,    4.0,    1023.9,  1024.0,  1025.0,  4e9,
+                                     0.25,   std::ldexp(1.0, 31) - 1, std::ldexp(1.0, 31)};
+  const std::vector<double> second = {0.0, 7.0, 8.0, 1024.0, std::ldexp(1.0, 62),
+                                      std::ldexp(1.0, 62) * 1.5, std::ldexp(1.0, 63), 1.8e19};
+  Histogram h;
+  std::map<int, int64_t> ref;
+  auto record = [&](const std::vector<double>& values) {
+    for (double v : values) {
+      h.Record(v);
+      ++ref[ReferenceBucket(v)];
+    }
+  };
+
+  record(first);
+  const HistogramSnapshot prev = h.Snapshot();
+  const std::map<int, int64_t> ref_prev = ref;
+  EXPECT_EQ(prev.buckets, ref_prev);
+  EXPECT_EQ(prev.count, static_cast<int64_t>(first.size()));
+  EXPECT_EQ(prev.buckets.at(0), 6);  // 0, 0.5, -3, 1, 1.999, 0.25
+
+  record(second);
+  const HistogramSnapshot cur = h.Snapshot();
+  EXPECT_EQ(cur.buckets, ref);
+  EXPECT_EQ(cur.buckets.at(62), 2);
+  EXPECT_EQ(cur.buckets.at(63), 2);
+
+  // Diff equals the summary of the map-computed bucket deltas.
+  std::map<int, int64_t> deltas;
+  for (const auto& [bucket, count] : ref) {
+    const auto it = ref_prev.find(bucket);
+    const int64_t d = count - (it != ref_prev.end() ? it->second : 0);
+    if (d > 0) {
+      deltas[bucket] = d;
+    }
+  }
+  const IntervalSummary got = Histogram::Diff(prev, cur);
+  const IntervalSummary want = Histogram::SummaryFromBuckets(deltas, cur.sum - prev.sum);
+  EXPECT_EQ(got.count, static_cast<int64_t>(second.size()));
+  EXPECT_EQ(got.count, want.count);
+  EXPECT_DOUBLE_EQ(got.sum, want.sum);
+  EXPECT_DOUBLE_EQ(got.p50, want.p50);
+  EXPECT_DOUBLE_EQ(got.p99, want.p99);
+  EXPECT_DOUBLE_EQ(got.p999, want.p999);
+  // The top buckets interpolate inside [2^62, 2^64) like any other.
+  EXPECT_GE(got.p99, std::ldexp(1.0, 63));
+  EXPECT_LE(got.p999, std::ldexp(1.0, 64));
+
+  // An empty interval diffs to zero; Diff against itself is empty.
+  EXPECT_EQ(Histogram::Diff(cur, cur).count, 0);
+  EXPECT_EQ(Histogram::Diff(HistogramSnapshot{}, Histogram().Snapshot()).count, 0);
 }
 
 TEST(RegistryTest, LabelsAndLookup) {
@@ -347,6 +418,55 @@ TEST(RegistryTest, LabelCapDropsNewLabelsButKeepsExistingOnes) {
   reg.WriteJson(out);
   EXPECT_EQ(out.str().find("l7"), std::string::npos);
   EXPECT_NE(out.str().find("\"metrics.dropped_labels\""), std::string::npos);
+}
+
+// FNV-1a of a rendered document, for pinning it in a test.
+uint64_t Fnv1a(const std::string& s) {
+  uint64_t h = 14695981039346656037ull;
+  for (unsigned char c : s) {
+    h = (h ^ c) * 1099511628211ull;
+  }
+  return h;
+}
+
+TEST(RegistryTest, LabelCapCountsEveryDroppedLookupOfRuntimeFamilies) {
+  // 4 nodes and 4 contended locks against a cap of 2: the runtime's
+  // per-node, per-link and per-lock families all overflow, so events keep
+  // landing on dropped labels. Each such lookup must count as one drop — a
+  // resolved handle must never be the sink — and the document must stay
+  // what name-by-name lookups on every event produced: the pinned values
+  // were recorded from that implementation.
+  Registry reg;
+  reg.SetLabelCap(2);
+  Runtime::Config config = TestConfig();
+  config.nodes = 4;
+  Runtime rt(config);
+  rt.SetMetrics(&reg);
+  rt.Run([] {
+    std::vector<Ref<Monitored>> monitors;
+    for (int n = 0; n < 4; ++n) {
+      monitors.push_back(NewOn<Monitored>(n));
+    }
+    std::vector<ThreadRef<void>> threads;
+    for (int i = 0; i < 8; ++i) {
+      threads.push_back(StartThread(monitors[i % 4], &Monitored::Bump));
+    }
+    for (auto& t : threads) {
+      t.Join();
+    }
+  });
+  std::ostringstream out;
+  reg.WriteJson(out);
+  const std::string json = out.str();
+
+  for (const char* family : {"sched.runqueue.wait", "net.link_bytes", "lock.hold_ns"}) {
+    ASSERT_NE(reg.FindHistograms(family), nullptr) << family;
+    EXPECT_EQ(reg.FindHistograms(family)->size(), 2u) << family;
+  }
+  EXPECT_EQ(reg.dropped_labels(), 102);
+  EXPECT_EQ(reg.CounterTotal("metrics.dropped_labels"), reg.dropped_labels());
+  EXPECT_EQ(json.size(), 4649u);
+  EXPECT_EQ(Fnv1a(json), 1629373234064977203ull);
 }
 
 TEST(RegistryTest, LabelCapAppliesPerFamilyAndPerKind) {

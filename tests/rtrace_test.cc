@@ -342,25 +342,54 @@ TEST(RtraceTest, DisabledSamplingIsByteInert) {
 }
 
 TEST(RtraceTest, EvictionKeepsTheNewestTraces) {
+  // Far past capacity: every completion after the second evicts one trace.
+  constexpr int kRequests = 500;
   Tracer tracer({.name = "t", .max_traces = 2});
   Runtime rt(TestConfig());
   tracer.AttachTo(rt);
   rt.Run([&] {
     auto w = NewOn<Worker>(1);
-    for (int i = 0; i < 5; ++i) {
+    for (int i = 0; i < kRequests; ++i) {
       tracer.OpenRequest("req");
-      auto t = StartThread(w, &Worker::Spin, i);
+      auto t = StartThread(w, &Worker::Spin, i % 5);
       t.Join();
     }
   });
-  EXPECT_EQ(tracer.requests_sampled(), 5);
-  EXPECT_EQ(tracer.traces_evicted(), 3);
+  EXPECT_EQ(tracer.requests_sampled(), kRequests);
+  EXPECT_EQ(tracer.traces_evicted(), kRequests - 2);
   EXPECT_EQ(tracer.traces().size(), 2u);
-  // The survivors are the most recently completed ones.
+  // The survivors are the most recently completed ones, still whole.
   for (const auto& [id, t] : tracer.traces()) {
     EXPECT_TRUE(t.done);
-    EXPECT_GE(id, 4u);
+    EXPECT_GE(id, uint64_t{kRequests - 1});
+    Duration attributed = 0;
+    for (const auto& [cat, ns] : t.attribution) {
+      attributed += ns;
+    }
+    EXPECT_EQ(attributed, t.latency());
   }
+}
+
+TEST(RtraceTest, EvictionFollowsCompletionOrder) {
+  // The first-opened request runs longest and completes last, so it is the
+  // one trace a capacity of 1 keeps.
+  Tracer tracer({.name = "t", .max_traces = 1});
+  Runtime rt(TestConfig());
+  tracer.AttachTo(rt);
+  rt.Run([&] {
+    auto w = NewOn<Worker>(1);
+    std::vector<ThreadRef<int>> requests;
+    for (int units : {200, 100, 0}) {
+      tracer.OpenRequest("req");
+      requests.push_back(StartThread(w, &Worker::Spin, units));
+    }
+    for (auto& t : requests) {
+      t.Join();
+    }
+  });
+  EXPECT_EQ(tracer.traces_evicted(), 2);
+  ASSERT_EQ(tracer.traces().size(), 1u);
+  EXPECT_EQ(tracer.traces().begin()->first, 1u);
 }
 
 }  // namespace

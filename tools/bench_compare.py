@@ -17,6 +17,12 @@ count, compiler, build type) identifies the machine a baseline was taken on
 and is ignored by the gate; use --no-wall-gate when comparing across
 machines, or --metric to widen one gauge's band.
 
+--exact additionally requires each current document to equal its baseline
+everywhere except the `host` section and the wall-clock gauges: every
+counter, histogram and virtual-derived gauge is a deterministic function of
+the code, so for a change meant to move no virtual nanosecond any other
+difference is a failure, and the first differing paths are printed.
+
 Improvements beyond a band never fail the gate, but they are printed as
 "ratchet candidate" notes: the committed baseline is stale, and until it is
 refreshed a later change could silently give the whole win back. Pass
@@ -29,7 +35,7 @@ Usage:
                            [--tolerance 2.0] [--tolerance chaos=5.0]
                            [--wall-tolerance 15.0] [--no-wall-gate]
                            [--metric scale.wall.events_per_sec=higher:75]
-                           [--refresh]
+                           [--refresh] [--exact]
                            fig2 table1 chaos scale hotspot
 
 Each positional argument names a benchmark: `<current>/BENCH_<name>.json` is
@@ -102,6 +108,38 @@ def wall_direction(key):
     return "lower"
 
 
+def without_host_and_wall(doc):
+    """The parts of a BENCH document that must reproduce exactly: all of it
+    but the host section and the wall-clock gauges."""
+    doc = {k: v for k, v in doc.items() if k != "host"}
+    metrics = doc.get("metrics")
+    if isinstance(metrics, dict) and isinstance(metrics.get("gauges"), dict):
+        gauges = {k: v for k, v in metrics["gauges"].items() if not is_wall_metric(k)}
+        doc["metrics"] = dict(metrics, gauges=gauges)
+    return doc
+
+
+def differences(base, cur, path=""):
+    """Yields '<path>: <baseline> -> <current>' for every place two JSON values differ.
+
+    Values must match in type as well (1 and 1.0 are different documents).
+    """
+    if isinstance(base, dict) and isinstance(cur, dict):
+        for key in sorted(base.keys() | cur.keys()):
+            sub = f"{path}/{key}"
+            if key not in cur:
+                yield f"{sub}: missing from current"
+            elif key not in base:
+                yield f"{sub}: not in baseline"
+            else:
+                yield from differences(base[key], cur[key], sub)
+    elif isinstance(base, list) and isinstance(cur, list) and len(base) == len(cur):
+        for i, (b, c) in enumerate(zip(base, cur)):
+            yield from differences(b, c, f"{path}[{i}]")
+    elif type(base) is not type(cur) or base != cur:
+        yield f"{path or '/'}: {base!r} -> {cur!r}"
+
+
 def parse_metric_rules(specs):
     """--metric NAME=DIR:PCT -> {name: (direction, tolerance_pct)}"""
     rules = {}
@@ -148,6 +186,11 @@ def main():
         "--refresh",
         action="store_true",
         help="rewrite stale baseline files in place from the current results (ratchet candidates only)",
+    )
+    parser.add_argument(
+        "--exact",
+        action="store_true",
+        help="also fail on any difference outside the host section and the wall-clock gauges",
     )
     parser.add_argument("benches", nargs="+", help="benchmark names (fig2, table1, chaos, scale, ...)")
     args = parser.parse_args()
@@ -214,6 +257,15 @@ def main():
                 verdict,
             )
         )
+
+        if args.exact:
+            diffs = list(differences(without_host_and_wall(base), without_host_and_wall(cur)))
+            if diffs:
+                failures.append(f"{name}: {len(diffs)} difference(s) from the baseline (--exact)")
+                for d in diffs[:10]:
+                    print(f"  exact: {name} {d}")
+                if len(diffs) > 10:
+                    print(f"  exact: {name} ... and {len(diffs) - 10} more")
 
         base_gauges = gauges(base)
         cur_gauges = gauges(cur)
