@@ -5,6 +5,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <vector>
+
+#include "src/base/rng.h"
 #include "src/kernel/descriptor_table.h"
 #include "src/mem/address_space.h"
 #include "src/mem/region_server.h"
@@ -78,19 +82,66 @@ BENCHMARK(BM_EventQueueDepth1000);
 
 // --- Descriptor table -------------------------------------------------------------
 
-void BM_DescriptorLookup(benchmark::State& state) {
-  amber::DescriptorTable table(0);
-  std::vector<int> objects(1024);
-  for (int& o : objects) {
-    table.SetResident(&o);
+// bench_scale's working set: 512 nodes' tables of 512 descriptors each (262k
+// objects), keys 16 bytes apart like small objects in a region, visited in a
+// random table and key order. One small hot table would sit in L1 and time a
+// regime the simulator never runs in.
+constexpr int kDescriptorTables = 512;
+constexpr uint32_t kDescriptorsPerTable = 512;
+constexpr size_t kDescriptorVisits = size_t{1} << 20;  // power of two
+
+struct DescriptorTables {
+  std::vector<std::unique_ptr<amber::DescriptorTable>> tables;
+  std::vector<uint32_t> visits;  // global descriptor indices, random order
+
+  DescriptorTables() {
+    for (int t = 0; t < kDescriptorTables; ++t) {
+      tables.push_back(std::make_unique<amber::DescriptorTable>(t));
+      for (uint32_t i = 0; i < kDescriptorsPerTable; ++i) {
+        tables.back()->SetResident(Key(static_cast<uint32_t>(t) * kDescriptorsPerTable + i));
+      }
+    }
+    amber::Rng rng(1);
+    visits.resize(kDescriptorVisits);
+    for (uint32_t& v : visits) {
+      v = static_cast<uint32_t>(rng.Below(uint64_t{kDescriptorTables} * kDescriptorsPerTable));
+    }
   }
+
+  static const void* Key(uint32_t index) {
+    return reinterpret_cast<const void*>(uintptr_t{0x7f0000000000} + 16 * uintptr_t{index});
+  }
+  amber::DescriptorTable& TableOf(uint32_t index) { return *tables[index / kDescriptorsPerTable]; }
+};
+
+void BM_DescriptorLookup(benchmark::State& state) {
+  DescriptorTables d;
   size_t i = 0;
   for (auto _ : state) {
-    auto d = table.Lookup(&objects[i++ & 1023]);
-    benchmark::DoNotOptimize(d);
+    const uint32_t k = d.visits[i++ & (kDescriptorVisits - 1)];
+    auto desc = d.TableOf(k).Lookup(DescriptorTables::Key(k));
+    benchmark::DoNotOptimize(desc);
   }
 }
 BENCHMARK(BM_DescriptorLookup);
+
+// The write path of a move: alternately leave a forwarding address and mark
+// a descriptor resident again.
+void BM_DescriptorUpdate(benchmark::State& state) {
+  DescriptorTables d;
+  size_t i = 0;
+  for (auto _ : state) {
+    const uint32_t k = d.visits[i & (kDescriptorVisits - 1)];
+    amber::DescriptorTable& table = d.TableOf(k);
+    if (i++ % 2 == 0) {
+      table.SetForward(DescriptorTables::Key(k), (table.node() + 1) % kDescriptorTables);
+    } else {
+      table.SetResident(DescriptorTables::Key(k));
+    }
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_DescriptorUpdate);
 
 // --- Segment allocator --------------------------------------------------------------
 

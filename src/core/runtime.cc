@@ -481,7 +481,7 @@ void Runtime::OnObjectConstruct(Object* obj) {
         obj->header_.size = p.size;
         // Creation-sequence id: deterministic program order, unlike the
         // segment address (DrainNode iteration, fault.unreachable labels).
-        obj_seq_[obj] = next_obj_seq_++;
+        objects_[obj] = ObjectRecord{next_obj_seq_++, 0};
       } else {
         // A member object (§3.6): co-resident with — and moves with — the
         // containing primary.
@@ -495,10 +495,9 @@ void Runtime::OnObjectConstruct(Object* obj) {
 }
 
 void Runtime::OnObjectDestruct(Object* obj) {
-  // Primary objects are unregistered in DeleteObject (or at teardown);
-  // member/stack objects need nothing.
-  live_objects_.erase(obj);
-  obj_seq_.erase(obj);
+  // A primary's record goes with it (DeleteObject, a constructor that threw,
+  // or teardown); member/stack objects have none.
+  objects_.Erase(obj);
   checkpoints_.erase(obj);
 }
 
@@ -506,8 +505,17 @@ void Runtime::FinishObjectConstruction(Object* obj) {
   AMBER_CHECK(!pending_.empty() && pending_.back().primary == obj)
       << "FinishObjectConstruction out of order";
   pending_.pop_back();
-  live_objects_.insert(obj);
+  objects_.Find(obj)->listed = 1;  // OnObjectConstruct made the record
   ++objects_created_;
+}
+
+template <typename Fn>
+void Runtime::ForEachListedObject(Fn&& fn) const {
+  objects_.ForEach([&fn](const void* key, const ObjectRecord& r) {
+    if (r.listed) {
+      fn(const_cast<Object*>(static_cast<const Object*>(key)), uint64_t{r.seq});
+    }
+  });
 }
 
 void Runtime::DeleteObject(Object* obj) {
@@ -522,7 +530,7 @@ void Runtime::DeleteObject(Object* obj) {
   const NodeId node = here();
   AMBER_CHECK(tables_[static_cast<size_t>(node)]->IsResident(obj))
       << "DeleteObject must run where the object is resident";
-  live_objects_.erase(obj);
+  objects_.Find(obj)->listed = 0;
   tables_[static_cast<size_t>(node)]->Erase(obj);
   const NodeId home = gas_->HomeOf(obj);
   obj->~Object();  // virtual: destroys the complete object
@@ -860,8 +868,8 @@ void Runtime::HandleUnreachable(Object* obj, NodeId node, int attempts) {
     // dead node (pointers would not be stable across runs), so the counter
     // says *what* was unreachable, not just where.
     std::string label = "node" + std::to_string(node);
-    if (const auto it = obj_seq_.find(obj); it != obj_seq_.end()) {
-      label = "obj" + std::to_string(it->second) + "@" + label;
+    if (const ObjectRecord* r = objects_.Find(obj); r != nullptr) {
+      label = "obj" + std::to_string(uint64_t{r->seq}) + "@" + label;
     }
     metrics_->GetCounter("fault.unreachable", label).Add();
   }
@@ -1668,17 +1676,16 @@ int Runtime::DrainNode(NodeId node) {
   }
   AMBER_CHECK(!targets.empty()) << "no live node to evacuate node " << node << " to";
   // Roots homed on the draining node, in creation order — deterministic,
-  // where iterating live_objects_ (a hash set of pointers) would not be.
+  // where the registry's slot order (by address hash) would not be.
   std::vector<std::pair<uint64_t, Object*>> roots;
-  for (Object* obj : live_objects_) {
+  ForEachListedObject([&roots, node](Object* obj, uint64_t seq) {
     const ObjectHeader& h = obj->header_;
     if (h.IsMember() || h.IsStackLocal() || h.IsThread() || h.attach_parent != nullptr ||
         h.owner != node) {
-      continue;  // attached children move with their root; threads follow §3.5
+      return;  // attached children move with their root; threads follow §3.5
     }
-    const auto it = obj_seq_.find(obj);
-    roots.emplace_back(it != obj_seq_.end() ? it->second : 0, obj);
-  }
+    roots.emplace_back(seq, obj);
+  });
   std::sort(roots.begin(), roots.end());
   int moved = 0;
   size_t next_target = 0;
@@ -1779,10 +1786,10 @@ void Runtime::OnNodeEvent(Time when, NodeId node, bool up) {
   // stale Resident claims here. Demote them so chases leave immediately —
   // an immutable object's stale copy is still a perfectly good replica.
   DescriptorTable& tab = *tables_[static_cast<size_t>(node)];
-  for (Object* obj : live_objects_) {
+  ForEachListedObject([&tab, node](Object* obj, uint64_t) {
     const ObjectHeader& h = obj->header_;
     if (h.IsMember() || h.IsStackLocal()) {
-      continue;
+      return;
     }
     if (h.owner != node && tab.Lookup(obj).state == Residency::kResident) {
       if (h.IsImmutable()) {
@@ -1791,7 +1798,7 @@ void Runtime::OnNodeEvent(Time when, NodeId node, bool up) {
         tab.SetForward(obj, h.owner);
       }
     }
-  }
+  });
   // The node's threads resume from the freeze: no longer lost.
   for (ThreadObject* t : threads_) {
     if (t->lost_ && t->header_.owner == node) {
@@ -2201,10 +2208,10 @@ void Runtime::ValidateLocationInvariants() {
   // The oracle use (sim_->NodeUp) is sanctioned here — validation is a test
   // instrument, not a protocol path.
   const bool faulty = injector_ != nullptr && injector_->active();
-  for (Object* obj : live_objects_) {
+  ForEachListedObject([this, faulty](Object* obj, uint64_t) {
     const ObjectHeader& h = obj->amber_header();
     if (h.IsMember() || h.IsStackLocal()) {
-      continue;
+      return;
     }
     // Exactly one *up* node marks a mutable object resident, and it is the
     // owner — unless the owner itself is down, in which case nobody is.
@@ -2261,7 +2268,7 @@ void Runtime::ValidateLocationInvariants() {
     for (Object* c = h.first_child; c != nullptr; c = c->amber_header().next_sibling) {
       AMBER_CHECK(c->amber_header().owner == h.owner) << "attached child on different node";
     }
-  }
+  });
 }
 
 }  // namespace amber

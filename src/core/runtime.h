@@ -18,9 +18,9 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "src/base/address_map.h"
 #include "src/base/time.h"
 #include "src/core/status.h"
 #include "src/fault/fault.h"
@@ -624,6 +624,9 @@ class Runtime {
   // Dense id for a lock/condition address, assigned in first-contention
   // order (deterministic, unlike the address itself).
   int SyncObjectId(const void* obj);
+  // fn(obj, seq) for every listed object, in no particular order (runtime.cc).
+  template <typename Fn>
+  void ForEachListedObject(Fn&& fn) const;
 
   Config config_;
   std::unique_ptr<sim::Kernel> sim_;
@@ -635,7 +638,20 @@ class Runtime {
   std::vector<std::unique_ptr<DescriptorTable>> tables_;
   std::vector<PendingAllocation> pending_;   // nested New stack
   std::vector<ThreadObject*> threads_;       // for teardown
-  std::unordered_set<Object*> live_objects_;  // primaries, for validation
+  // One record per primary object, from its construction to its destruction.
+  // The creation-sequence number is the deterministic order for DrainNode and
+  // the object label on fault.unreachable (pointer order would vary with
+  // arena layout). `listed` marks the live primaries that DrainNode, the
+  // restart repair and validation walk: set once New finishes constructing
+  // the object, cleared by DeleteObject. The main thread and objects still
+  // under construction have a sequence number but are not listed. Both fit
+  // in one word, so a registry slot is 16 bytes.
+  struct ObjectRecord {
+    uint64_t seq : 63 = 0;
+    uint64_t listed : 1 = 0;
+  };
+  AddressMap<ObjectRecord> objects_;
+  uint64_t next_obj_seq_ = 1;
   int64_t objects_created_ = 0;
   int64_t objects_moved_ = 0;
   int64_t replicas_installed_ = 0;
@@ -660,11 +676,6 @@ class Runtime {
     Time when = 0;
   };
   std::unordered_map<Object*, CheckpointRecord> checkpoints_;
-  // Creation-sequence number per live primary: the deterministic iteration
-  // order for DrainNode and the object label on fault.unreachable (pointer
-  // order would vary with arena layout).
-  std::unordered_map<const Object*, uint64_t> obj_seq_;
-  uint64_t next_obj_seq_ = 1;
   // Ground-truth crash instants (injector hook) for member.detect_latency.
   std::vector<Time> crash_time_;
   FailureHandler failure_handler_;

@@ -9,6 +9,13 @@
 // from the table — and is resolved via the object's home node, computed from
 // its address (§3.3).
 //
+// Storage: one flat open-addressed table per node (amber::AddressMap), keyed
+// by the object's address, so the residency check reads about one cache
+// line. A key that is absent reads as uninitialized. Keys are not limited to
+// the node's own regions (forwarding hints name objects anywhere, and thread
+// objects live in node 0's regions), which is why the table is hashed rather
+// than a dense per-region array.
+//
 // Invariant (checked by tests): at any ordered point, exactly one node's
 // table marks a mutable object kResident, and every forwarding chain
 // terminates at that node.
@@ -18,10 +25,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 
+#include "src/base/address_map.h"
 #include "src/base/panic.h"
-#include "src/base/stats.h"
 #include "src/sim/fiber.h"
 #include "src/telemetry/telemetry.h"
 
@@ -48,15 +54,14 @@ class DescriptorTable {
 
   // The invocation-time check. Absent entries read as uninitialized.
   Descriptor Lookup(const void* obj) const {
-    lookups_.Add();
     telemetry::CountIfActive(telemetry::Count::kDescriptorLookups);
-    auto it = map_.find(obj);
-    return it == map_.end() ? Descriptor{} : it->second;
+    const Descriptor* d = map_.Find(obj);
+    return d == nullptr ? Descriptor{} : *d;
   }
 
   bool IsResident(const void* obj) const {
-    auto it = map_.find(obj);
-    return it != map_.end() && it->second.state == Residency::kResident;
+    const Descriptor* d = map_.Find(obj);
+    return d != nullptr && d->state == Residency::kResident;
   }
 
   void SetResident(const void* obj) { map_[obj] = {Residency::kResident, kNoNode}; }
@@ -77,22 +82,19 @@ class DescriptorTable {
 
   // Object deleted on this node: drop local knowledge. Stale entries on
   // other nodes are tolerated by the heap's no-split rule (§3.2).
-  void Erase(const void* obj) { map_.erase(obj); }
+  void Erase(const void* obj) { map_.Erase(obj); }
 
   NodeId node() const { return node_; }
   size_t entries() const { return map_.size(); }
-  int64_t lookups() const { return lookups_.value(); }
 
+  // fn(obj, descriptor) for every entry, in no particular order.
   void ForEach(const std::function<void(const void*, const Descriptor&)>& fn) const {
-    for (const auto& [obj, d] : map_) {
-      fn(obj, d);
-    }
+    map_.ForEach(fn);
   }
 
  private:
   NodeId node_;
-  std::unordered_map<const void*, Descriptor> map_;
-  mutable ::amber::Counter lookups_;
+  AddressMap<Descriptor> map_;
 };
 
 }  // namespace amber

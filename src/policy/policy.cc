@@ -87,7 +87,7 @@ PlacementPolicy::ObjState& PlacementPolicy::Ensure(const void* obj, const std::s
   const auto [it, inserted] = index_.try_emplace(obj, objects_.size());
   if (inserted) {
     ObjState st;
-    st.id = objects_.size() + 1;  // dense first-seen order, 1-based like obj_seq_
+    st.id = objects_.size() + 1;  // dense first-seen order, 1-based like object seqs
     st.label = label;
     st.first_seen = when;
     objects_.push_back(std::move(st));

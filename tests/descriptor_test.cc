@@ -67,14 +67,19 @@ TEST(DescriptorTableTest, EraseReturnsToUninitialized) {
 }
 
 TEST(DescriptorTableTest, LookupCounterTracksChecks) {
+  // Every Lookup is counted by the active self-profiler (the count bench_scale
+  // and perfbench publish); IsResident and the setters are not lookups.
+  telemetry::SelfProfiler prof(telemetry::SelfProfiler::Config{});
+  prof.Enable();
   DescriptorTable table(0);
   int obj;
   table.SetResident(&obj);
-  const int64_t before = table.lookups();
+  const int64_t before = prof.count(telemetry::Count::kDescriptorLookups);
   for (int i = 0; i < 10; ++i) {
     table.Lookup(&obj);
   }
-  EXPECT_EQ(table.lookups(), before + 10);
+  EXPECT_TRUE(table.IsResident(&obj));
+  EXPECT_EQ(prof.count(telemetry::Count::kDescriptorLookups), before + 10);
 }
 
 TEST(DescriptorTableTest, ManyObjectsIndependent) {

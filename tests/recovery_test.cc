@@ -202,5 +202,35 @@ TEST(RecoveryTest, DrainNodeEvacuatesResidentsAndAttachGroups) {
   });
 }
 
+TEST(RecoveryTest, DrainNodeSendsRootsRoundRobinInCreationOrder) {
+  Runtime rt(TestConfig());  // 4 nodes: draining node 1 evacuates to 0, 2, 3
+  rt.Run([&] {
+    std::vector<Ref<Counter>> roots;
+    for (int i = 0; i < 7; ++i) {
+      roots.push_back(New<Counter>());
+    }
+    // The last root reuses the first one's segment: lowest address, newest
+    // object. Creation order, not address order, decides where it goes.
+    void* reused = roots[0].unchecked();
+    Delete(roots[0]);
+    roots.erase(roots.begin());
+    roots.push_back(New<Counter>());
+    ASSERT_EQ(static_cast<void*>(roots.back().unchecked()), reused);
+    for (size_t i = 0; i < roots.size(); ++i) {
+      ASSERT_EQ(MoveTo(roots[i], 1), Status::kOk);
+      roots[i].Call(&Counter::Add, static_cast<int>(i));
+    }
+
+    EXPECT_EQ(DrainNode(1), static_cast<int>(roots.size()));
+
+    const NodeId targets[] = {0, 2, 3};
+    for (size_t i = 0; i < roots.size(); ++i) {
+      EXPECT_EQ(Locate(roots[i]), targets[i % 3]) << "root " << i;
+      EXPECT_EQ(roots[i].Call(&Counter::Get), static_cast<int>(i));
+    }
+    rt.ValidateLocationInvariants();
+  });
+}
+
 }  // namespace
 }  // namespace amber
