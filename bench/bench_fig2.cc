@@ -95,7 +95,7 @@ int main() {
     trace::Tracer tracer;
     prof::Profiler profiler;
     rt.SetMetrics(&registry);
-    rt.SetObserver(&tracer);
+    rt.AddObserver(&tracer);
     rt.AddObserver(&profiler);  // rides the same bus, zero virtual-time cost
     const sor::Result r = sor::RunAmber(rt, params);
     const double speedup =

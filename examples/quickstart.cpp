@@ -112,7 +112,7 @@ int main(int argc, char** argv) {
   trace::Tracer tracer;
   metrics::Registry registry;
   if (argc > 1) {
-    rt.SetObserver(&tracer);
+    rt.AddObserver(&tracer);
     rt.SetMetrics(&registry);
   }
   rt.Run(Main);

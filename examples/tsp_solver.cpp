@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
   metrics::Registry registry;
   const bool instrument = argc >= 6;
   if (instrument) {
-    rt.SetObserver(&tracer);
+    rt.AddObserver(&tracer);
     rt.SetMetrics(&registry);
   }
   const tsp::Result par = tsp::RunAmber(rt, params);

@@ -17,7 +17,6 @@
 #include "src/core/thread.h"
 #include "src/metrics/metrics.h"
 #include "src/rpc/wire.h"
-#include "src/telemetry/telemetry.h"
 
 namespace amber {
 namespace {
@@ -52,30 +51,146 @@ constexpr int64_t kPerObjectMoveOverhead = 32;
 
 }  // namespace
 
-// Handles into the attached registry for the families recorded on every
-// event — scheduler, rpc latency, invocation, migration, forwarding chains,
-// per-link traffic and locks — resolved on first use
-// (metrics::FamilyHandles). SetMetrics rebuilds them for each registry.
-struct Runtime::MetricHandles {
-  explicit MetricHandles(metrics::Registry* r)
-      : threads_created(r, "sched.threads.created"),
+// The registry's observer on the event bus. SetMetrics attaches one per
+// registry, like any other observer, and it records every runtime metric
+// whose fact an event carries. Per-event families go through handles
+// resolved once per (family, node/link/lock) (metrics::FamilyHandles); rare
+// ones look up by name. The inline metric sites (facts no event carries)
+// use the handles at the end.
+struct Runtime::MetricHandles : public RuntimeObserver {
+  MetricHandles(metrics::Registry* r, const sim::Kernel* kernel)
+      : registry(r),
+        kernel(kernel),
+        threads_created(r, "sched.threads.created"),
         runqueue_wait(r, "sched.runqueue.wait"),
         runqueue_depth(r, "sched.runqueue.depth"),
         preempts(r, "sched.preempts"),
         rpc_latency(r, "rpc.roundtrip.latency"),
         invoke_local(r, "amber.invoke.latency.local"),
         invoke_remote(r, "amber.invoke.latency.remote"),
-        migration_latency(r, "amber.migration.latency"),
-        migration_bytes(r, "amber.migration.bytes"),
-        forward_chain(r, "amber.forward.chain"),
         link_messages(r, "net.link.messages"),
         link_bytes(r, "net.link.bytes"),
         lock_blocked(r, "sync.lock.blocked"),
         lock_wait(r, "sync.lock.wait"),
         lock_hold(r, "sync.lock.hold"),
         lock_wait_ns(r, "lock.wait_ns"),
-        lock_hold_ns(r, "lock.hold_ns") {}
+        lock_hold_ns(r, "lock.hold_ns"),
+        migration_latency(r, "amber.migration.latency"),
+        migration_bytes(r, "amber.migration.bytes"),
+        forward_chain(r, "amber.forward.chain") {}
 
+  // --- Scheduler ---------------------------------------------------------------
+  void OnThreadCreate(Time when, NodeId node, ThreadId thread, const std::string& name,
+                      ThreadId parent) override {
+    threads_created.Node(node).Add();
+  }
+  void OnThreadDispatch(Time when, NodeId node, ThreadId thread, Duration queue_wait) override {
+    runqueue_wait.Node(node).Record(static_cast<double>(queue_wait));
+    runqueue_depth.Node(node).Record(static_cast<double>(kernel->RunQueueLength(node)));
+  }
+  void OnThreadPreempt(Time when, NodeId node, ThreadId thread) override {
+    preempts.Node(node).Add();
+  }
+
+  // --- Rpc -----------------------------------------------------------------------
+  void OnRpcRequest(Time depart, NodeId src, NodeId dst, int64_t bytes, uint64_t id,
+                    ThreadId requester) override {
+    rpc_depart[id] = depart;
+  }
+  void OnRpcResponse(Time when, Time reply_arrive, NodeId src, NodeId dst, int64_t bytes,
+                     uint64_t id) override {
+    auto it = rpc_depart.find(id);
+    if (it == rpc_depart.end()) {
+      return;
+    }
+    // Latency as seen by the requester (dst of the reply).
+    const double latency = static_cast<double>(reply_arrive - it->second);
+    rpc_latency.Node(dst).Record(latency);
+    if (auto rit = rpc_retried.find(id); rit != rpc_retried.end()) {
+      // First-departure-to-reply latency of roundtrips that needed
+      // retransmission — the cost of riding out loss.
+      registry->GetHistogram("rpc.retry.latency").Record(latency);
+      rpc_retried.erase(rit);
+    }
+    rpc_depart.erase(it);
+  }
+  void OnRpcRetry(Time when, NodeId src, NodeId dst, uint64_t id, int attempt,
+                  ThreadId requester) override {
+    registry->GetCounter("rpc.retries").Add();
+    rpc_retried.insert(id);
+  }
+  void OnRpcTimeout(Time when, NodeId src, NodeId dst, uint64_t id, int attempts,
+                    ThreadId requester) override {
+    registry->GetCounter("rpc.timeouts").Add();
+    rpc_depart.erase(id);
+    rpc_retried.erase(id);
+  }
+
+  // --- Network and faults --------------------------------------------------------
+  void OnMessage(Time depart, Time arrive, NodeId src, NodeId dst, int64_t bytes) override {
+    link_messages.Link(src, dst, kernel->nodes()).Add();
+    link_bytes.Link(src, dst, kernel->nodes()).Add(bytes);
+  }
+  void OnMessageDropped(Time when, NodeId src, NodeId dst, int64_t bytes,
+                        const char* reason) override {
+    registry->GetCounter("fault.drops", metrics::Registry::LinkLabel(src, dst)).Add();
+  }
+  void OnMessageDuplicated(Time when, NodeId src, NodeId dst, int64_t bytes) override {
+    registry->GetCounter("fault.dups", metrics::Registry::LinkLabel(src, dst)).Add();
+  }
+  void OnMessageDelayed(Time when, NodeId src, NodeId dst, Duration extra) override {
+    registry->GetCounter("fault.delays", metrics::Registry::LinkLabel(src, dst)).Add();
+    registry->GetHistogram("fault.delay").Record(static_cast<double>(extra));
+  }
+  void OnNodeCrash(Time when, NodeId node) override {
+    registry->GetCounter("fault.node.crashes", node).Add();
+  }
+  void OnNodeRestart(Time when, NodeId node) override {
+    registry->GetCounter("fault.node.restarts", node).Add();
+  }
+
+  // --- Invocation and contention -------------------------------------------------
+  void OnInvokeExit(Time when, NodeId node, ThreadId thread, Duration span, bool remote,
+                    Duration exit_overhead) override {
+    (remote ? invoke_remote : invoke_local).Node(node).Record(static_cast<double>(span));
+  }
+  void OnLockBlocked(Time when, NodeId node, ThreadId thread, int lock) override {
+    PerLock(lock_blocked, lock).Add();
+  }
+  void OnLockAcquired(Time when, NodeId node, ThreadId thread, int lock, Duration wait) override {
+    lock_wait.Node(node).Record(static_cast<double>(wait));
+    // Per-lock wait-time distribution (the placement/contention advisor's
+    // input): labelled by the dense lock id, like sync.lock.blocked.
+    PerLock(lock_wait_ns, lock).Record(static_cast<double>(wait));
+  }
+  void OnLockReleased(Time when, NodeId node, ThreadId thread, int lock, Duration held) override {
+    lock_hold.Total().Record(static_cast<double>(held));
+    // Per-lock hold-time distribution, same labelling as lock.wait_ns.
+    PerLock(lock_hold_ns, lock).Record(static_cast<double>(held));
+  }
+  void OnConditionWake(Time when, NodeId node, int condition, int woken) override {
+    registry->GetCounter("sync.condition.wakeups").Add(woken);
+  }
+
+  // --- Recovery, drain and placement ---------------------------------------------
+  void OnObjectRecovered(Time when, const void* obj, NodeId from, NodeId to,
+                         bool from_checkpoint) override {
+    registry->GetCounter(from_checkpoint ? "recovery.restores" : "recovery.rebinds").Add();
+  }
+  void OnNodeDrained(Time when, NodeId node, int objects_moved) override {
+    registry->GetCounter("drain.objects", node).Add(objects_moved);
+  }
+  void OnPolicyMigration(Time when, const void* obj, NodeId from, NodeId to, bool ok,
+                         Duration cost) override {
+    registry->GetCounter(ok ? "policy.migrations" : "policy.migrations.failed", to).Add();
+  }
+
+  metrics::Registry* registry;
+  const sim::Kernel* kernel;  // run-queue depth at dispatch, node count
+  // depart time per in-flight rpc id (erased on response) for latency.
+  std::unordered_map<uint64_t, Time> rpc_depart;
+  // ids that needed at least one retransmission (for rpc.retry.latency).
+  std::unordered_set<uint64_t> rpc_retried;
   metrics::FamilyHandles<metrics::Counter> threads_created;
   metrics::FamilyHandles<metrics::Histogram> runqueue_wait;
   metrics::FamilyHandles<metrics::Histogram> runqueue_depth;
@@ -83,9 +198,6 @@ struct Runtime::MetricHandles {
   metrics::FamilyHandles<metrics::Histogram> rpc_latency;
   metrics::FamilyHandles<metrics::Histogram> invoke_local;
   metrics::FamilyHandles<metrics::Histogram> invoke_remote;
-  metrics::FamilyHandles<metrics::Histogram> migration_latency;
-  metrics::FamilyHandles<metrics::Counter> migration_bytes;
-  metrics::FamilyHandles<metrics::Histogram> forward_chain;
   metrics::FamilyHandles<metrics::Counter> link_messages;
   metrics::FamilyHandles<metrics::Counter> link_bytes;
   metrics::FamilyHandles<metrics::Counter> lock_blocked;    // by lock id
@@ -93,203 +205,10 @@ struct Runtime::MetricHandles {
   metrics::FamilyHandles<metrics::Histogram> lock_hold;     // total
   metrics::FamilyHandles<metrics::Histogram> lock_wait_ns;  // by lock id
   metrics::FamilyHandles<metrics::Histogram> lock_hold_ns;  // by lock id
-};
-
-// Bridges the lower layers' observer interfaces (sim::SchedObserver,
-// rpc::TransportObserver, fault::FaultSink) into the RuntimeObserver and
-// metrics registry. Allocated only while a sink is attached, so detached
-// runs never construct it and the kernel/transport hooks stay null.
-struct Runtime::Instrumentation : public sim::SchedObserver,
-                                  public rpc::TransportObserver,
-                                  public fault::FaultSink {
-  explicit Instrumentation(Runtime* rt) : rt(rt) {}
-
-  Runtime* rt;
-  // depart time per in-flight rpc id (erased on response) for latency.
-  std::unordered_map<uint64_t, Time> rpc_depart;
-  // ids that needed at least one retransmission (for rpc.retry.latency).
-  std::unordered_set<uint64_t> rpc_retried;
-  // Invocation span labels, demangled once per dynamic type. Keyed by the
-  // type_info name, which is unique to its type within one binary.
-  std::unordered_map<const char*, std::string> object_labels;
-
-  const std::string& ObjectLabel(const Object* obj) {
-    static const std::string kStackLocal = "stack-local";
-    if (obj == nullptr) {
-      return kStackLocal;
-    }
-    const char* raw = typeid(*obj).name();
-    auto it = object_labels.find(raw);
-    if (it == object_labels.end()) {
-      it = object_labels.emplace(raw, Demangle(raw)).first;
-    }
-    return it->second;
-  }
-
-  // --- sim::SchedObserver ----------------------------------------------------
-  void OnFiberCreate(Time when, sim::NodeId node, const sim::Fiber& f) override {
-    telemetry::ScopedWallTimer fanout(telemetry::Bucket::kObserverFanout);
-    // Spawn runs in the creating fiber's context (host context for the
-    // initial thread), so current() is the parent — the causal creation
-    // edge the critical-path profiler walks.
-    sim::Fiber* creator = rt->sim_->current();
-    const ThreadId parent = creator != nullptr ? creator->id : 0;
-    for (RuntimeObserver* o : rt->observers_) {
-      o->OnThreadCreate(when, node, f.id, f.name, parent);
-    }
-    if (rt->metrics_ != nullptr) {
-      rt->metric_handles_->threads_created.Node(node).Add();
-    }
-  }
-  void OnFiberDispatch(Time when, sim::NodeId node, const sim::Fiber& f,
-                       Duration queue_wait) override {
-    telemetry::ScopedWallTimer fanout(telemetry::Bucket::kObserverFanout);
-    for (RuntimeObserver* o : rt->observers_) {
-      o->OnThreadDispatch(when, node, f.id, queue_wait);
-    }
-    if (rt->metrics_ != nullptr) {
-      MetricHandles& h = *rt->metric_handles_;
-      h.runqueue_wait.Node(node).Record(static_cast<double>(queue_wait));
-      h.runqueue_depth.Node(node).Record(static_cast<double>(rt->sim_->RunQueueLength(node)));
-    }
-  }
-  void OnFiberBlock(Time when, sim::NodeId node, const sim::Fiber& f) override {
-    telemetry::ScopedWallTimer fanout(telemetry::Bucket::kObserverFanout);
-    for (RuntimeObserver* o : rt->observers_) {
-      o->OnThreadBlock(when, node, f.id);
-    }
-  }
-  void OnFiberUnblock(Time when, sim::NodeId node, const sim::Fiber& f, uint64_t waker_id,
-                      Time wake_time) override {
-    telemetry::ScopedWallTimer fanout(telemetry::Bucket::kObserverFanout);
-    for (RuntimeObserver* o : rt->observers_) {
-      o->OnThreadUnblock(when, node, f.id, waker_id, wake_time);
-    }
-  }
-  void OnFiberPreempt(Time when, sim::NodeId node, const sim::Fiber& f) override {
-    telemetry::ScopedWallTimer fanout(telemetry::Bucket::kObserverFanout);
-    for (RuntimeObserver* o : rt->observers_) {
-      o->OnThreadPreempt(when, node, f.id);
-    }
-    if (rt->metrics_ != nullptr) {
-      rt->metric_handles_->preempts.Node(node).Add();
-    }
-  }
-  void OnFiberExit(Time when, sim::NodeId node, const sim::Fiber& f) override {
-    telemetry::ScopedWallTimer fanout(telemetry::Bucket::kObserverFanout);
-    for (RuntimeObserver* o : rt->observers_) {
-      o->OnThreadExit(when, node, f.id);
-    }
-  }
-
-  // --- rpc::TransportObserver ------------------------------------------------
-  void OnRpcRequest(Time depart, rpc::NodeId src, rpc::NodeId dst, int64_t bytes, uint64_t id,
-                    uint64_t requester) override {
-    telemetry::ScopedWallTimer fanout(telemetry::Bucket::kObserverFanout);
-    for (RuntimeObserver* o : rt->observers_) {
-      o->OnRpcRequest(depart, src, dst, bytes, id, requester);
-    }
-    if (rt->metrics_ != nullptr) {
-      rpc_depart[id] = depart;
-    }
-  }
-  void OnRpcResponse(Time when, Time reply_arrive, rpc::NodeId src, rpc::NodeId dst,
-                     int64_t bytes, uint64_t id) override {
-    telemetry::ScopedWallTimer fanout(telemetry::Bucket::kObserverFanout);
-    for (RuntimeObserver* o : rt->observers_) {
-      o->OnRpcResponse(when, reply_arrive, src, dst, bytes, id);
-    }
-    if (rt->metrics_ != nullptr) {
-      auto it = rpc_depart.find(id);
-      if (it != rpc_depart.end()) {
-        // Latency as seen by the requester (dst of the reply).
-        rt->metric_handles_->rpc_latency.Node(dst).Record(
-            static_cast<double>(reply_arrive - it->second));
-        if (auto rit = rpc_retried.find(id); rit != rpc_retried.end()) {
-          // First-departure-to-reply latency of roundtrips that needed
-          // retransmission — the cost of riding out loss.
-          rt->metrics_->GetHistogram("rpc.retry.latency")
-              .Record(static_cast<double>(reply_arrive - it->second));
-          rpc_retried.erase(rit);
-        }
-        rpc_depart.erase(it);
-      }
-    }
-  }
-  void OnRpcRetry(Time when, rpc::NodeId src, rpc::NodeId dst, uint64_t id, int attempt,
-                  uint64_t requester) override {
-    telemetry::ScopedWallTimer fanout(telemetry::Bucket::kObserverFanout);
-    for (RuntimeObserver* o : rt->observers_) {
-      o->OnRpcRetry(when, src, dst, id, attempt, requester);
-    }
-    if (rt->metrics_ != nullptr) {
-      rt->metrics_->GetCounter("rpc.retries").Add();
-      rpc_retried.insert(id);
-    }
-  }
-  void OnRpcTimeout(Time when, rpc::NodeId src, rpc::NodeId dst, uint64_t id, int attempts,
-                    uint64_t requester) override {
-    telemetry::ScopedWallTimer fanout(telemetry::Bucket::kObserverFanout);
-    for (RuntimeObserver* o : rt->observers_) {
-      o->OnRpcTimeout(when, src, dst, id, attempts, requester);
-    }
-    if (rt->metrics_ != nullptr) {
-      rt->metrics_->GetCounter("rpc.timeouts").Add();
-      rpc_depart.erase(id);
-      rpc_retried.erase(id);
-    }
-  }
-  void OnRpcDuplicateSuppressed(Time /*when*/, rpc::NodeId /*node*/, uint64_t /*id*/) override {
-    if (rt->metrics_ != nullptr) {
-      rt->metrics_->GetCounter("rpc.dup_suppressed").Add();
-    }
-  }
-
-  // --- fault::FaultSink ------------------------------------------------------
-  void OnMessageDropped(Time when, fault::NodeId src, fault::NodeId dst, int64_t bytes,
-                        fault::DropReason reason) override {
-    for (RuntimeObserver* o : rt->observers_) {
-      o->OnMessageDropped(when, src, dst, bytes, fault::DropReasonName(reason));
-    }
-    if (rt->metrics_ != nullptr) {
-      rt->metrics_->GetCounter("fault.drops", metrics::Registry::LinkLabel(src, dst)).Add();
-    }
-  }
-  void OnMessageDuplicated(Time when, fault::NodeId src, fault::NodeId dst,
-                           int64_t bytes) override {
-    for (RuntimeObserver* o : rt->observers_) {
-      o->OnMessageDuplicated(when, src, dst, bytes);
-    }
-    if (rt->metrics_ != nullptr) {
-      rt->metrics_->GetCounter("fault.dups", metrics::Registry::LinkLabel(src, dst)).Add();
-    }
-  }
-  void OnMessageDelayed(Time when, fault::NodeId src, fault::NodeId dst,
-                        Duration extra) override {
-    for (RuntimeObserver* o : rt->observers_) {
-      o->OnMessageDelayed(when, src, dst, extra);
-    }
-    if (rt->metrics_ != nullptr) {
-      rt->metrics_->GetCounter("fault.delays", metrics::Registry::LinkLabel(src, dst)).Add();
-      rt->metrics_->GetHistogram("fault.delay").Record(static_cast<double>(extra));
-    }
-  }
-  void OnNodeCrash(Time when, fault::NodeId node) override {
-    for (RuntimeObserver* o : rt->observers_) {
-      o->OnNodeCrash(when, node);
-    }
-    if (rt->metrics_ != nullptr) {
-      rt->metrics_->GetCounter("fault.node.crashes", node).Add();
-    }
-  }
-  void OnNodeRestart(Time when, fault::NodeId node) override {
-    for (RuntimeObserver* o : rt->observers_) {
-      o->OnNodeRestart(when, node);
-    }
-    if (rt->metrics_ != nullptr) {
-      rt->metrics_->GetCounter("fault.node.restarts", node).Add();
-    }
-  }
+  // Inline sites (Runtime::TravelThread, Runtime::EnsureResident).
+  metrics::FamilyHandles<metrics::Histogram> migration_latency;
+  metrics::FamilyHandles<metrics::Counter> migration_bytes;
+  metrics::FamilyHandles<metrics::Histogram> forward_chain;
 };
 
 Runtime::Runtime(const Config& config) : config_(config) {
@@ -562,16 +481,23 @@ void Runtime::EnterInvocation(Object* primary, int64_t args_wire_bytes) {
   if (instr) {
     const bool remote = thread_migrations_ != migrations_before;
     t->frames_.back().remote = remote;
-    if (!observers_.empty()) {
-      telemetry::ScopedWallTimer fanout(telemetry::Bucket::kObserverFanout);
-      const Time now = sim_->Now();
-      const std::string& label = instr_->ObjectLabel(primary);
-      const ThreadId tid = t->fiber_->id;
-      for (RuntimeObserver* o : observers_) {
-        o->OnInvokeEnter(now, here(), tid, primary, label, remote, origin, now - chase_start);
-      }
-    }
+    const Time now = sim_->Now();
+    sim_->Emit(&RuntimeObserver::OnInvokeEnter, now, here(), t->fiber_->id, primary,
+               ObjectLabel(primary), remote, origin, now - chase_start);
   }
+}
+
+const std::string& Runtime::ObjectLabel(const Object* obj) {
+  static const std::string kStackLocal = "stack-local";
+  if (obj == nullptr) {
+    return kStackLocal;
+  }
+  const char* raw = typeid(*obj).name();
+  auto it = object_labels_.find(raw);
+  if (it == object_labels_.end()) {
+    it = object_labels_.emplace(raw, Demangle(raw)).first;
+  }
+  return it->second;
 }
 
 void Runtime::ExitInvocation(int64_t result_wire_bytes) {
@@ -588,19 +514,8 @@ void Runtime::ExitInvocation(int64_t result_wire_bytes) {
   EnsureResident(t->frames_.back().object, result_wire_bytes);
   if (instr) {
     const Time now = sim_->Now();
-    const Duration span = now - done.enter;
-    if (metrics_ != nullptr) {
-      MetricHandles& h = *metric_handles_;
-      (done.remote ? h.invoke_remote : h.invoke_local).Node(here()).Record(
-          static_cast<double>(span));
-    }
-    if (!observers_.empty()) {
-      telemetry::ScopedWallTimer fanout(telemetry::Bucket::kObserverFanout);
-      const ThreadId tid = t->fiber_->id;
-      for (RuntimeObserver* o : observers_) {
-        o->OnInvokeExit(now, here(), tid, span, done.remote, now - return_start);
-      }
-    }
+    sim_->Emit(&RuntimeObserver::OnInvokeExit, now, here(), t->fiber_->id, now - done.enter,
+               done.remote, now - return_start);
   }
 }
 
@@ -630,27 +545,13 @@ Status Runtime::TravelThread(NodeId dst, int64_t extra_bytes) {
   t->header_.owner = dst;
   const int64_t payload = ThreadPayloadBytes() + extra_bytes;
   const Time depart = sim_->Now();
-  if (!rpc_->reliability_enabled()) {
-    ++thread_migrations_;
-    migration_matrix_[static_cast<size_t>(src) * static_cast<size_t>(nodes()) +
-                      static_cast<size_t>(dst)] += 1;
-    for (RuntimeObserver* o : observers_) {
-      o->OnThreadMigrate(depart, src, dst, t->fiber_->id, payload);
-    }
-    rpc_->Travel(dst, payload);
-    if (metrics_ != nullptr) {
-      // Departure decision to running again at dst (marshal + wire + dispatch).
-      metric_handles_->migration_latency.Total().Record(static_cast<double>(sim_->Now() - depart));
-      metric_handles_->migration_bytes.Total().Add(payload);
-    }
-    return Status::kOk;
-  }
   // Fault-injected run: the migration can fail (dst dead or partitioned away
   // for the whole retransmission budget). The thread is still on src then —
   // flip the descriptors back, leaving a correct dst->src hint in place of
-  // the speculative resident entry.
-  const rpc::TravelResult r = rpc_->Travel(dst, payload);
-  if (r.status != rpc::SendStatus::kOk) {
+  // the speculative resident entry. A lossless migration is counted and
+  // announced at departure instead, before it travels.
+  const bool reliable = rpc_->reliability_enabled();
+  if (reliable && rpc_->Travel(dst, payload).status != rpc::SendStatus::kOk) {
     tables_[static_cast<size_t>(dst)]->SetForward(t, src);
     tables_[static_cast<size_t>(src)]->SetResident(t);
     t->header_.owner = src;
@@ -659,10 +560,12 @@ Status Runtime::TravelThread(NodeId dst, int64_t extra_bytes) {
   ++thread_migrations_;
   migration_matrix_[static_cast<size_t>(src) * static_cast<size_t>(nodes()) +
                     static_cast<size_t>(dst)] += 1;
-  for (RuntimeObserver* o : observers_) {
-    o->OnThreadMigrate(depart, src, dst, t->fiber_->id, payload);
+  sim_->Emit(&RuntimeObserver::OnThreadMigrate, depart, src, dst, t->fiber_->id, payload);
+  if (!reliable) {
+    rpc_->Travel(dst, payload);
   }
   if (metrics_ != nullptr) {
+    // Departure decision to running again at dst (marshal + wire + dispatch).
     metric_handles_->migration_latency.Total().Record(static_cast<double>(sim_->Now() - depart));
     metric_handles_->migration_bytes.Total().Add(payload);
   }
@@ -891,9 +794,7 @@ void Runtime::HandleUnreachable(Object* obj, NodeId node, int attempts) {
   sim::Fiber* self = sim_->current();
   const Duration backoff = rpc_->retry_policy().timeout_cap;
   const Time resume = sim_->Now() + backoff;
-  for (RuntimeObserver* o : observers_) {
-    o->OnFailureBackoff(sim_->Now(), here(), self->id, backoff);
-  }
+  sim_->Emit(&RuntimeObserver::OnFailureBackoff, sim_->Now(), here(), self->id, backoff);
   sim_->Post(resume, [this, self] { sim_->Wake(self, sim_->Now()); });
   sim_->Block();
 }
@@ -945,9 +846,7 @@ Status Runtime::FetchReplica(Object* obj, NodeId from) {
   if (st != Residency::kReplica && st != Residency::kResident) {
     tables_[static_cast<size_t>(cur)]->SetReplica(obj, target != cur ? target : kNoNode);
     ++replicas_installed_;
-    for (RuntimeObserver* o : observers_) {
-      o->OnReplicaInstall(sim_->Now(), obj, cur);
-    }
+    sim_->Emit(&RuntimeObserver::OnReplicaInstall, sim_->Now(), obj, cur);
   }
   return Status::kOk;
 }
@@ -1085,22 +984,14 @@ void Runtime::MaybePolicyPull(Object* primary) {
   const Status s = MoveTo(root, cur);
   t->resolving_ = false;
   const bool ok = s == Status::kOk;
-  if (metrics_ != nullptr) {
-    metrics_->GetCounter(ok ? "policy.migrations" : "policy.migrations.failed", cur).Add();
-  }
-  if (!observers_.empty()) {
-    telemetry::ScopedWallTimer fanout(telemetry::Bucket::kObserverFanout);
-    const Time now = sim_->Now();
-    for (RuntimeObserver* o : observers_) {
-      o->OnPolicyMigration(now, root, src, cur, ok, now - start);
-    }
-  }
+  const Time now = sim_->Now();
+  sim_->Emit(&RuntimeObserver::OnPolicyMigration, now, root, src, cur, ok, now - start);
   policy_->OnPullResult(root, cur, ok);
 }
 
 Status Runtime::MoveOutLocal(Object* obj, NodeId dst) {
   const NodeId src = here();
-  const Time move_start = metrics_ != nullptr ? sim_->Now() : 0;
+  const Time move_start = sim_->Now();
   std::vector<Object*> closure;
   CollectClosure(obj, &closure);
   sim_->Charge(cost().move_setup);
@@ -1128,9 +1019,7 @@ Status Runtime::MoveOutLocal(Object* obj, NodeId dst) {
       }
       const Duration ack_timeout = rpc_->retry_policy().timeout;
       const Time give_up = sim_->Now() + ack_timeout;
-      for (RuntimeObserver* ob : observers_) {
-        ob->OnFailureBackoff(sim_->Now(), src, self->id, ack_timeout);
-      }
+      sim_->Emit(&RuntimeObserver::OnFailureBackoff, sim_->Now(), src, self->id, ack_timeout);
       sim_->Post(give_up, [this, self] { sim_->Wake(self, sim_->Now()); });
       sim_->Block();
       return Status::kUnreachable;
@@ -1145,22 +1034,24 @@ Status Runtime::MoveOutLocal(Object* obj, NodeId dst) {
     sim_->Block();
   }
   ++objects_moved_;
-  for (RuntimeObserver* o : observers_) {
-    o->OnObjectMove(sim_->Now(), obj, src, dst, total);
-  }
-  if (metrics_ != nullptr) {
-    metrics_->GetHistogram("amber.move.latency").Record(static_cast<double>(sim_->Now() - move_start));
-    metrics_->GetCounter("amber.move.bytes").Add(total);
-  }
+  sim_->Emit(&RuntimeObserver::OnObjectMove, sim_->Now(), obj, src, dst, total);
+  RecordMove(move_start, total);
   MaybeRecheckpoint(obj);
   return Status::kOk;
+}
+
+void Runtime::RecordMove(Time start, int64_t bytes) {
+  if (metrics_ != nullptr) {
+    metrics_->GetHistogram("amber.move.latency").Record(static_cast<double>(sim_->Now() - start));
+    metrics_->GetCounter("amber.move.bytes").Add(bytes);
+  }
 }
 
 Status Runtime::RequestRemoteMove(Object* obj, NodeId owner, NodeId dst, bool* accepted_out) {
   const NodeId cur = here();
   AMBER_CHECK(owner != cur);
   sim::Fiber* self = sim_->current();
-  const Time move_start = metrics_ != nullptr ? sim_->Now() : 0;
+  const Time move_start = sim_->Now();
   int64_t moved_bytes = 0;
   bool accepted = false;
   if (rpc_->reliability_enabled()) {
@@ -1194,9 +1085,7 @@ Status Runtime::RequestRemoteMove(Object* obj, NodeId owner, NodeId dst, bool* a
           accepted = true;
           moved_bytes = total;
           ++objects_moved_;
-          for (RuntimeObserver* ob : observers_) {
-            ob->OnObjectMove(sim_->Now(), obj, owner, dst, total);
-          }
+          sim_->Emit(&RuntimeObserver::OnObjectMove, sim_->Now(), obj, owner, dst, total);
           return kControlBytes;
         });
     if (rr.status != rpc::SendStatus::kOk) {
@@ -1206,11 +1095,7 @@ Status Runtime::RequestRemoteMove(Object* obj, NodeId owner, NodeId dst, bool* a
         // move. The in-simulator flag is the oracle; it is stable here
         // because the transport cancels the roundtrip on give-up, so the
         // service can no longer run after this point.
-        if (metrics_ != nullptr) {
-          metrics_->GetHistogram("amber.move.latency")
-              .Record(static_cast<double>(sim_->Now() - move_start));
-          metrics_->GetCounter("amber.move.bytes").Add(moved_bytes);
-        }
+        RecordMove(move_start, moved_bytes);
         MaybeRecheckpoint(obj);
         *accepted_out = true;
         return Status::kOk;
@@ -1218,11 +1103,8 @@ Status Runtime::RequestRemoteMove(Object* obj, NodeId owner, NodeId dst, bool* a
       *accepted_out = false;
       return Status::kUnreachable;  // owner unreachable
     }
-    if (accepted && metrics_ != nullptr) {
-      metrics_->GetHistogram("amber.move.latency").Record(static_cast<double>(sim_->Now() - move_start));
-      metrics_->GetCounter("amber.move.bytes").Add(moved_bytes);
-    }
     if (accepted) {
+      RecordMove(move_start, moved_bytes);
       MaybeRecheckpoint(obj);
     }
     *accepted_out = accepted;
@@ -1259,14 +1141,11 @@ Status Runtime::RequestRemoteMove(Object* obj, NodeId owner, NodeId dst, bool* a
       sim_->Wake(self, ack);
     }
     ++objects_moved_;
-    for (RuntimeObserver* ob : observers_) {
-      ob->OnObjectMove(sim_->Now(), obj, owner, dst, total);
-    }
+    sim_->Emit(&RuntimeObserver::OnObjectMove, sim_->Now(), obj, owner, dst, total);
   });
   sim_->Block();
-  if (accepted && metrics_ != nullptr) {
-    metrics_->GetHistogram("amber.move.latency").Record(static_cast<double>(sim_->Now() - move_start));
-    metrics_->GetCounter("amber.move.bytes").Add(moved_bytes);
+  if (accepted) {
+    RecordMove(move_start, moved_bytes);
   }
   *accepted_out = accepted;
   return Status::kOk;
@@ -1293,9 +1172,7 @@ Status Runtime::ReplicateTo(Object* obj, NodeId dst) {
         // Copy lost; dst never saw it. Ride out the ack timeout, report.
         const Duration ack_timeout = rpc_->retry_policy().timeout;
         const Time give_up = sim_->Now() + ack_timeout;
-        for (RuntimeObserver* o : observers_) {
-          o->OnFailureBackoff(sim_->Now(), cur, self->id, ack_timeout);
-        }
+        sim_->Emit(&RuntimeObserver::OnFailureBackoff, sim_->Now(), cur, self->id, ack_timeout);
         sim_->Post(give_up, [this, self] { sim_->Wake(self, sim_->Now()); });
         sim_->Block();
         return Status::kUnreachable;
@@ -1303,9 +1180,7 @@ Status Runtime::ReplicateTo(Object* obj, NodeId dst) {
       const Time installed = tx.arrival + cost().move_install;
       tables_[static_cast<size_t>(dst)]->SetReplica(obj, cur);
       ++replicas_installed_;
-      for (RuntimeObserver* o : observers_) {
-        o->OnReplicaInstall(installed, obj, dst);
-      }
+      sim_->Emit(&RuntimeObserver::OnReplicaInstall, installed, obj, dst);
       sim_->Wake(self, installed);
       sim_->Block();
       return Status::kOk;
@@ -1314,9 +1189,7 @@ Status Runtime::ReplicateTo(Object* obj, NodeId dst) {
     const Time installed = arrive + cost().move_install;
     tables_[static_cast<size_t>(dst)]->SetReplica(obj, cur);
     ++replicas_installed_;
-    for (RuntimeObserver* o : observers_) {
-      o->OnReplicaInstall(installed, obj, dst);
-    }
+    sim_->Emit(&RuntimeObserver::OnReplicaInstall, installed, obj, dst);
     sim_->Wake(self, installed);
     sim_->Block();
     return Status::kOk;
@@ -1344,9 +1217,7 @@ Status Runtime::ReplicateTo(Object* obj, NodeId dst) {
             tables_[static_cast<size_t>(dst)]->SetReplica(obj, holder);
             ++replicas_installed_;
             installed_ok = true;
-            for (RuntimeObserver* o : observers_) {
-              o->OnReplicaInstall(installed, obj, dst);
-            }
+            sim_->Emit(&RuntimeObserver::OnReplicaInstall, installed, obj, dst);
           }
           return kControlBytes;
         });
@@ -1365,9 +1236,7 @@ Status Runtime::ReplicateTo(Object* obj, NodeId dst) {
     const Time installed = arrive + cost().move_install;
     tables_[static_cast<size_t>(dst)]->SetReplica(obj, holder);
     ++replicas_installed_;
-    for (RuntimeObserver* o : observers_) {
-      o->OnReplicaInstall(installed, obj, dst);
-    }
+    sim_->Emit(&RuntimeObserver::OnReplicaInstall, installed, obj, dst);
     if (dst == cur) {
       sim_->Wake(self, installed);
     } else {
@@ -1592,12 +1461,8 @@ bool Runtime::RecoverImmutable(Object* obj, NodeId node) {
     if (cur != n && !tables_[static_cast<size_t>(cur)]->IsResident(obj)) {
       tables_[static_cast<size_t>(cur)]->SetForward(obj, n);
     }
-    for (RuntimeObserver* o : observers_) {
-      o->OnObjectRecovered(sim_->Now(), obj, dead, n, /*from_checkpoint=*/false);
-    }
-    if (metrics_ != nullptr) {
-      metrics_->GetCounter("recovery.rebinds").Add();
-    }
+    sim_->Emit(&RuntimeObserver::OnObjectRecovered, sim_->Now(), obj, dead, n,
+               /*from_checkpoint=*/false);
     return true;
   }
   return false;  // no surviving copy: unrecoverable until a restart
@@ -1649,12 +1514,8 @@ bool Runtime::RecoverMutable(Object* obj, NodeId node) {
   if (cur != buddy && !tables_[static_cast<size_t>(cur)]->IsResident(obj)) {
     tables_[static_cast<size_t>(cur)]->SetForward(obj, buddy);
   }
-  for (RuntimeObserver* o : observers_) {
-    o->OnObjectRecovered(sim_->Now(), obj, dead, obj->header_.owner, /*from_checkpoint=*/true);
-  }
-  if (metrics_ != nullptr) {
-    metrics_->GetCounter("recovery.restores").Add();
-  }
+  sim_->Emit(&RuntimeObserver::OnObjectRecovered, sim_->Now(), obj, dead, obj->header_.owner,
+             /*from_checkpoint=*/true);
   // The restored copy is the new authoritative state; its old checkpoint
   // record points at what is now the home. Take a fresh one elsewhere.
   MaybeRecheckpoint(obj);
@@ -1716,19 +1577,12 @@ int Runtime::DrainNode(NodeId node) {
   // Kick every processor on the drained node: resident threads re-run the
   // §3.5 residency check on dispatch and chase their objects out.
   sim_->RequestPreempt(node);
-  for (RuntimeObserver* o : observers_) {
-    o->OnNodeDrained(sim_->Now(), node, moved);
-  }
-  if (metrics_ != nullptr) {
-    metrics_->GetCounter("drain.objects", node).Add(moved);
-  }
+  sim_->Emit(&RuntimeObserver::OnNodeDrained, sim_->Now(), node, moved);
   return moved;
 }
 
 void Runtime::OnPeerSuspected(Time when, NodeId by, NodeId peer) {
-  for (RuntimeObserver* o : observers_) {
-    o->OnNodeSuspected(when, by, peer);
-  }
+  sim_->Emit(&RuntimeObserver::OnNodeSuspected, when, by, peer);
   if (metrics_ != nullptr) {
     // Detection quality, graded against the injector's ground truth (the
     // one sanctioned oracle use: tests judge the protocol with it).
@@ -1758,9 +1612,7 @@ void Runtime::OnPeerSuspected(Time when, NodeId by, NodeId peer) {
 }
 
 void Runtime::OnPeerTrusted(Time when, NodeId by, NodeId peer) {
-  for (RuntimeObserver* o : observers_) {
-    o->OnNodeTrusted(when, by, peer);
-  }
+  sim_->Emit(&RuntimeObserver::OnNodeTrusted, when, by, peer);
   // A healed partition (no crash) revives the node's threads: they were
   // never actually dead. After a real restart OnNodeEvent clears them too.
   if (sim_->NodeUp(peer)) {
@@ -1808,23 +1660,11 @@ void Runtime::OnNodeEvent(Time when, NodeId node, bool up) {
 }
 
 void Runtime::NotifyRecoveryStart(const Object* obj) {
-  if (observers_.empty()) {
-    return;
-  }
-  const ThreadId tid = sim_->current()->id;
-  for (RuntimeObserver* o : observers_) {
-    o->OnRecoveryStart(sim_->Now(), here(), tid, obj);
-  }
+  sim_->Emit(&RuntimeObserver::OnRecoveryStart, sim_->Now(), here(), sim_->current()->id, obj);
 }
 
 void Runtime::NotifyRecoveryEnd(const Object* obj, bool ok) {
-  if (observers_.empty()) {
-    return;
-  }
-  const ThreadId tid = sim_->current()->id;
-  for (RuntimeObserver* o : observers_) {
-    o->OnRecoveryEnd(sim_->Now(), here(), tid, obj, ok);
-  }
+  sim_->Emit(&RuntimeObserver::OnRecoveryEnd, sim_->Now(), here(), sim_->current()->id, obj, ok);
 }
 
 // --- Threads -------------------------------------------------------------------------
@@ -1864,15 +1704,10 @@ bool Runtime::JoinWait(ThreadObject* t, bool fail_aware) {
       HandleUnreachable(t, t->header_.owner, ++failures);
       continue;
     }
-    if (!observers_.empty()) {
-      // The join will actually wait: the causal edge is "joiner sleeps until
-      // target exits" (the profiler follows the critical path into `t`).
-      const ThreadId joiner = sim_->current()->id;
-      const ThreadId target = t->fiber_->id;
-      for (RuntimeObserver* o : observers_) {
-        o->OnThreadJoin(sim_->Now(), here(), joiner, target);
-      }
-    }
+    // The join will actually wait: the causal edge is "joiner sleeps until
+    // target exits" (the profiler follows the critical path into `t`).
+    sim_->Emit(&RuntimeObserver::OnThreadJoin, sim_->Now(), here(), sim_->current()->id,
+               t->fiber_->id);
     t->join_waiters_.push_back(sim_->current());
     sim_->Block();
   }
@@ -1891,52 +1726,42 @@ void Runtime::SetScheduler(NodeId node, std::unique_ptr<sim::RunQueue> queue) {
   sim_->SetRunQueue(node, std::move(queue));
 }
 
-void Runtime::SetObserver(RuntimeObserver* observer) {
-  observers_.clear();
-  if (observer != nullptr) {
-    observers_.push_back(observer);
-  }
-  UpdateInstrumentation();
-}
+void Runtime::AddObserver(RuntimeObserver* observer) { sim_->AddObserver(observer); }
 
-void Runtime::AddObserver(RuntimeObserver* observer) {
-  AMBER_CHECK(observer != nullptr);
-  AMBER_CHECK(std::find(observers_.begin(), observers_.end(), observer) == observers_.end())
-      << "observer already attached";
-  observers_.push_back(observer);
-  UpdateInstrumentation();
-}
-
-void Runtime::RemoveObserver(RuntimeObserver* observer) {
-  observers_.erase(std::remove(observers_.begin(), observers_.end(), observer),
-                   observers_.end());
-  UpdateInstrumentation();
-}
+void Runtime::RemoveObserver(RuntimeObserver* observer) { sim_->RemoveObserver(observer); }
 
 void Runtime::SetMetrics(metrics::Registry* registry) {
-  metrics_ = registry;
-  metric_handles_ = registry != nullptr ? std::make_unique<MetricHandles>(registry) : nullptr;
-  if (registry != nullptr) {
-    // Pre-register the live-path families so the document always contains
-    // them (at zero) even when the run never hits a path.
-    for (NodeId n = 0; n < nodes(); ++n) {
-      registry->GetHistogram("amber.invoke.latency.local", n);
-      registry->GetHistogram("amber.invoke.latency.remote", n);
-      registry->GetHistogram("sched.runqueue.wait", n);
-      registry->GetHistogram("sched.runqueue.depth", n);
-      registry->GetHistogram("sync.lock.wait", n);
-      registry->GetHistogram("rpc.roundtrip.latency", n);
-    }
-    registry->GetHistogram("amber.migration.latency");
-    registry->GetHistogram("amber.move.latency");
-    registry->GetHistogram("amber.forward.chain");
-    registry->GetHistogram("sync.lock.hold");
-    registry->GetCounter("amber.migration.bytes");
-    registry->GetCounter("amber.move.bytes");
-    registry->GetCounter("amber.replica.fetches");
-    registry->GetCounter("sync.condition.wakeups");
+  if (metric_handles_ != nullptr) {
+    sim_->RemoveObserver(metric_handles_.get());
   }
-  UpdateInstrumentation();
+  metrics_ = registry;
+  metric_handles_ =
+      registry != nullptr ? std::make_unique<MetricHandles>(registry, sim_.get()) : nullptr;
+  // Per-link histograms (net.link_bytes / net.link_queue_depth) are
+  // recorded inside the network itself — it alone sees channel backlog.
+  net_->SetMetrics(registry);
+  if (registry == nullptr) {
+    return;
+  }
+  // Pre-register the live-path families so the document always contains
+  // them (at zero) even when the run never hits a path.
+  for (NodeId n = 0; n < nodes(); ++n) {
+    registry->GetHistogram("amber.invoke.latency.local", n);
+    registry->GetHistogram("amber.invoke.latency.remote", n);
+    registry->GetHistogram("sched.runqueue.wait", n);
+    registry->GetHistogram("sched.runqueue.depth", n);
+    registry->GetHistogram("sync.lock.wait", n);
+    registry->GetHistogram("rpc.roundtrip.latency", n);
+  }
+  registry->GetHistogram("amber.migration.latency");
+  registry->GetHistogram("amber.move.latency");
+  registry->GetHistogram("amber.forward.chain");
+  registry->GetHistogram("sync.lock.hold");
+  registry->GetCounter("amber.migration.bytes");
+  registry->GetCounter("amber.move.bytes");
+  registry->GetCounter("amber.replica.fetches");
+  registry->GetCounter("sync.condition.wakeups");
+  sim_->AddObserver(metric_handles_.get());
 }
 
 void Runtime::SetBlackBox(BlackBox* recorder) {
@@ -2008,36 +1833,6 @@ void Runtime::SetFaultInjector(fault::Injector* injector) {
           [this](Time when, NodeId node, bool up) { OnNodeEvent(when, node, up); });
     }
   }
-  UpdateInstrumentation();
-}
-
-void Runtime::UpdateInstrumentation() {
-  const bool on = !observers_.empty() || metrics_ != nullptr;
-  if (on && instr_ == nullptr) {
-    instr_ = std::make_unique<Instrumentation>(this);
-  }
-  sim_->SetSchedObserver(on ? instr_.get() : nullptr);
-  rpc_->SetObserver(on ? instr_.get() : nullptr);
-  if (injector_ != nullptr) {
-    injector_->SetSink(on ? instr_.get() : nullptr);
-  }
-  if (on) {
-    net_->SetMessageObserver(
-        [this](Time depart, Time arrive, NodeId src, NodeId dst, int64_t bytes) {
-          for (RuntimeObserver* o : observers_) {
-            o->OnMessage(depart, arrive, src, dst, bytes);
-          }
-          if (metrics_ != nullptr) {
-            metric_handles_->link_messages.Link(src, dst, nodes()).Add();
-            metric_handles_->link_bytes.Link(src, dst, nodes()).Add(bytes);
-          }
-        });
-  } else {
-    net_->SetMessageObserver(nullptr);
-  }
-  // Per-link histograms (net.link_bytes / net.link_queue_depth) are
-  // recorded inside the network itself — it alone sees channel backlog.
-  net_->SetMetrics(metrics_);
 }
 
 void Runtime::PublishRunTotals(Time end) {
@@ -2064,6 +1859,10 @@ void Runtime::PublishRunTotals(Time end) {
   m.GetGauge("net.busy_ns").Set(static_cast<double>(net_->busy_time()));
   m.GetCounter("rpc.roundtrips").Add(rpc_->roundtrips());
   m.GetCounter("rpc.travels").Add(rpc_->travels());
+  if (rpc_->duplicates_suppressed() != 0) {
+    // Absent until the first suppression, as in the transport's own count.
+    m.GetCounter("rpc.dup_suppressed").Add(rpc_->duplicates_suppressed());
+  }
   m.GetCounter("sim.events").Add(static_cast<int64_t>(sim_->events_run()));
   m.GetCounter("sim.dispatches").Add(static_cast<int64_t>(sim_->dispatches()));
   m.GetCounter("sim.preemptions").Add(static_cast<int64_t>(sim_->preemptions()));
@@ -2091,15 +1890,7 @@ void Runtime::NotifyLockBlocked(const void* lock) {
     return;
   }
   const int id = SyncObjectId(lock);
-  if (!observers_.empty()) {
-    const ThreadId tid = sim_->current()->id;
-    for (RuntimeObserver* o : observers_) {
-      o->OnLockBlocked(sim_->Now(), here(), tid, id);
-    }
-  }
-  if (metrics_ != nullptr) {
-    PerLock(metric_handles_->lock_blocked, id).Add();
-  }
+  sim_->Emit(&RuntimeObserver::OnLockBlocked, sim_->Now(), here(), sim_->current()->id, id);
 }
 
 void Runtime::NotifyLockAcquired(const void* lock, Duration wait) {
@@ -2107,18 +1898,8 @@ void Runtime::NotifyLockAcquired(const void* lock, Duration wait) {
     return;
   }
   const int id = SyncObjectId(lock);
-  if (!observers_.empty()) {
-    const ThreadId tid = sim_->current()->id;
-    for (RuntimeObserver* o : observers_) {
-      o->OnLockAcquired(sim_->Now(), here(), tid, id, wait);
-    }
-  }
-  if (metrics_ != nullptr) {
-    metric_handles_->lock_wait.Node(here()).Record(static_cast<double>(wait));
-    // Per-lock wait-time distribution (the placement/contention advisor's
-    // input): labelled by the dense lock id, like sync.lock.blocked.
-    PerLock(metric_handles_->lock_wait_ns, id).Record(static_cast<double>(wait));
-  }
+  sim_->Emit(&RuntimeObserver::OnLockAcquired, sim_->Now(), here(), sim_->current()->id, id,
+             wait);
 }
 
 void Runtime::NotifyLockHeldSince(const void* lock, Time when, ThreadObject* holder) {
@@ -2163,36 +1944,19 @@ void Runtime::NotifyLockReleased(const void* lock) {
     lock_acquired_.erase(it);
   }
   const int id = SyncObjectId(lock);
-  if (!observers_.empty()) {
-    const ThreadId tid = sim_->current()->id;
-    for (RuntimeObserver* o : observers_) {
-      o->OnLockReleased(sim_->Now(), here(), tid, id, held);
-    }
-  }
-  if (metrics_ != nullptr) {
-    metric_handles_->lock_hold.Total().Record(static_cast<double>(held));
-    // Per-lock hold-time distribution, same labelling as lock.wait_ns.
-    PerLock(metric_handles_->lock_hold_ns, id).Record(static_cast<double>(held));
-  }
+  sim_->Emit(&RuntimeObserver::OnLockReleased, sim_->Now(), here(), sim_->current()->id, id,
+             held);
 }
 
 void Runtime::NotifyConditionWake(const void* condition, int woken) {
   if (!instrumented()) {
     return;
   }
-  const int id = SyncObjectId(condition);
-  for (RuntimeObserver* o : observers_) {
-    o->OnConditionWake(sim_->Now(), here(), id, woken);
-  }
-  if (metrics_ != nullptr) {
-    metrics_->GetCounter("sync.condition.wakeups").Add(woken);
-  }
+  sim_->Emit(&RuntimeObserver::OnConditionWake, sim_->Now(), here(), SyncObjectId(condition),
+             woken);
 }
 
 void Runtime::NotifyBarrierWait() {
-  if (!instrumented()) {
-    return;
-  }
   if (metrics_ != nullptr) {
     metrics_->GetCounter("sync.barrier.waits", here()).Add();
   }

@@ -42,140 +42,6 @@ namespace amber {
 class Object;
 class ThreadObject;
 
-// Stable identity of a thread on the event bus: the underlying fiber's
-// dense creation-order id (1, 2, 3, ... — deterministic across identical
-// runs). Events carry this instead of the thread's name so the hot path is
-// allocation-free; OnThreadCreate delivers the id→name binding exactly once
-// and sinks keep their own side table (see trace::Tracer::ThreadName).
-using ThreadId = uint64_t;
-
-// Observer of the runtime's events — the instrumentation bus. Callbacks run
-// at ordered points with virtual timestamps; deterministic runs produce the
-// identical event sequence. Observers must not call back into the runtime.
-//
-// Four event families:
-//   * distribution — migrations, moves, replicas, network messages;
-//   * scheduler    — thread lifecycle, run-queue wait, blocking, preemption
-//                    (bridged from sim::Kernel);
-//   * invocation   — Enter/Exit *span* pairs around every Ref::Call / Join,
-//                    labelled local or remote;
-//   * contention   — lock wait/hold and condition wakeups (from core/sync),
-//                    request/response roundtrips (from rpc::Transport).
-// Every emission site is guarded, so an unattached runtime pays nothing.
-//
-// Fan-out: several observers may be attached at once (AddObserver); each
-// event is delivered to all of them in attachment order, and removing one
-// mid-run does not change what the others see (tested in observer_test).
-class RuntimeObserver {
- public:
-  virtual ~RuntimeObserver() = default;
-
-  // --- Distribution events ---------------------------------------------------
-  virtual void OnThreadMigrate(Time when, NodeId src, NodeId dst, ThreadId thread,
-                               int64_t bytes) {}
-  virtual void OnObjectMove(Time when, const void* obj, NodeId src, NodeId dst, int64_t bytes) {}
-  virtual void OnReplicaInstall(Time when, const void* obj, NodeId node) {}
-  virtual void OnMessage(Time depart, Time arrive, NodeId src, NodeId dst, int64_t bytes) {}
-
-  // --- Scheduler events ------------------------------------------------------
-  // The only event that carries the thread's name; `parent` is the creating
-  // thread (0 for the initial thread, which host code spawns).
-  virtual void OnThreadCreate(Time when, NodeId node, ThreadId thread, const std::string& name,
-                              ThreadId parent) {}
-  // `queue_wait` is the time spent ready on the run queue before dispatch.
-  virtual void OnThreadDispatch(Time when, NodeId node, ThreadId thread, Duration queue_wait) {}
-  virtual void OnThreadBlock(Time when, NodeId node, ThreadId thread) {}
-  // `waker` is the thread whose Wake made this one runnable (0 when the wake
-  // came from event context: a timer, a message delivery, or a migration
-  // arrival) and `wake_time` the waker's clock at that call — together they
-  // are the causal edge the critical-path profiler walks.
-  virtual void OnThreadUnblock(Time when, NodeId node, ThreadId thread, ThreadId waker,
-                               Time wake_time) {}
-  virtual void OnThreadPreempt(Time when, NodeId node, ThreadId thread) {}
-  virtual void OnThreadExit(Time when, NodeId node, ThreadId thread) {}
-  // `thread` is about to block until `target` finishes (emitted only when
-  // the join actually waits).
-  virtual void OnThreadJoin(Time when, NodeId node, ThreadId thread, ThreadId target) {}
-
-  // --- Invocation spans ------------------------------------------------------
-  // Emitted once the thread is co-resident with the object (user code is
-  // about to run); `remote` is whether reaching the object required
-  // migration. Enter/Exit pairs nest properly per thread. `obj` is the
-  // object's identity (sinks map it to a dense id), `origin` the node the
-  // caller stood on before the residency check, and `entry_overhead` the
-  // virtual time that check consumed (forward-chain chasing + migration) —
-  // the placement advisor's raw material.
-  virtual void OnInvokeEnter(Time when, NodeId node, ThreadId thread, const void* obj,
-                             const std::string& object, bool remote, NodeId origin,
-                             Duration entry_overhead) {}
-  // `exit_overhead` is the return-side residency cost (migrating back to the
-  // enclosing frame's object).
-  virtual void OnInvokeExit(Time when, NodeId node, ThreadId thread, Duration span, bool remote,
-                            Duration exit_overhead) {}
-
-  // --- Contention events -----------------------------------------------------
-  // `lock` is a small dense id assigned in first-contention order (stable
-  // across identical runs, unlike pointers).
-  virtual void OnLockBlocked(Time when, NodeId node, ThreadId thread, int lock) {}
-  virtual void OnLockAcquired(Time when, NodeId node, ThreadId thread, int lock,
-                              Duration wait) {}
-  virtual void OnLockReleased(Time when, NodeId node, ThreadId thread, int lock,
-                              Duration held) {}
-  virtual void OnConditionWake(Time when, NodeId node, int condition, int woken) {}
-  // `requester` is the thread blocked for the reply.
-  virtual void OnRpcRequest(Time depart, NodeId src, NodeId dst, int64_t bytes, uint64_t id,
-                            ThreadId requester) {}
-  virtual void OnRpcResponse(Time when, Time reply_arrive, NodeId src, NodeId dst, int64_t bytes,
-                             uint64_t id) {}
-
-  // --- Fault events (emitted only in fault-injected runs) --------------------
-  // `reason` is one of "lossy", "partition", "node_down".
-  virtual void OnMessageDropped(Time when, NodeId src, NodeId dst, int64_t bytes,
-                                const char* reason) {}
-  virtual void OnMessageDuplicated(Time when, NodeId src, NodeId dst, int64_t bytes) {}
-  virtual void OnMessageDelayed(Time when, NodeId src, NodeId dst, Duration extra) {}
-  virtual void OnNodeCrash(Time when, NodeId node) {}
-  virtual void OnNodeRestart(Time when, NodeId node) {}
-  // `attempt` is the 1-based retransmission count of rpc `id`.
-  virtual void OnRpcRetry(Time when, NodeId src, NodeId dst, uint64_t id, int attempt,
-                          ThreadId requester) {}
-  virtual void OnRpcTimeout(Time when, NodeId src, NodeId dst, uint64_t id, int attempts,
-                            ThreadId requester) {}
-  // `thread` is about to back off for `backoff` before re-probing an
-  // unreachable object / unacked transfer (failure-handler kRetry path and
-  // move-ack timeouts) — blocked time that is the fault's fault, not the
-  // network's.
-  virtual void OnFailureBackoff(Time when, NodeId node, ThreadId thread, Duration backoff) {}
-
-  // --- Membership / recovery events (fault-injected runs only) ---------------
-  // `by`'s heartbeat lease on `node` expired (OnNodeSuspected) or a
-  // heartbeat from a suspected node arrived again (OnNodeTrusted). Protocol
-  // opinions, not ground truth — tests grade them against the injector.
-  virtual void OnNodeSuspected(Time when, NodeId by, NodeId node) {}
-  virtual void OnNodeTrusted(Time when, NodeId by, NodeId node) {}
-  // `thread` started / finished a recovery episode for `obj` (replica
-  // re-bind or checkpoint restore). The critical-path profiler tiles the
-  // enclosed waiting into its `recovery` category.
-  virtual void OnRecoveryStart(Time when, NodeId node, ThreadId thread, const void* obj) {}
-  virtual void OnRecoveryEnd(Time when, NodeId node, ThreadId thread, const void* obj,
-                             bool ok) {}
-  // `obj` was re-homed from dead node `from` to `to`: an immutable object
-  // re-bound to a surviving replica (from_checkpoint=false) or a mutable
-  // object restored from its buddy checkpoint (from_checkpoint=true).
-  virtual void OnObjectRecovered(Time when, const void* obj, NodeId from, NodeId to,
-                                 bool from_checkpoint) {}
-  // DrainNode finished evacuating `node`.
-  virtual void OnNodeDrained(Time when, NodeId node, int objects_moved) {}
-
-  // --- Placement-policy events (runs with a PlacementHook attached only) -----
-  // The runtime moved `obj` (an attach-group root) from `from` to `to` on
-  // behalf of the placement policy — a pull issued on the invocation path.
-  // `ok` is whether the move landed; `cost` the virtual time the issuing
-  // thread spent on it (the migration bill the profiler attributes).
-  virtual void OnPolicyMigration(Time when, const void* obj, NodeId from, NodeId to, bool ok,
-                                 Duration cost) {}
-};
-
 // A black-box flight recorder: an observer that can additionally render a
 // post-mortem dump of everything it has retained. Register one with
 // Runtime::SetBlackBox so the runtime can flush it on amber::Panic (failed
@@ -268,7 +134,6 @@ class Runtime {
     size_t arena_bytes = size_t{2} << 30;
     int initial_regions_per_node = 8;
     size_t stack_bytes = 64 * 1024;
-    bool validate_invariants = false;  // run location-invariant checks at key points
   };
 
   explicit Runtime(const Config& config);
@@ -375,11 +240,8 @@ class Runtime {
   // Installs a scheduling policy on a node (§2.1 replaceable scheduler).
   void SetScheduler(NodeId node, std::unique_ptr<sim::RunQueue> queue);
 
-  // Attaches an event observer (e.g. trace::Tracer), replacing any already
-  // attached. Call before Run(). Pass nullptr to detach all.
-  void SetObserver(RuntimeObserver* observer);
-
-  // Fan-out: attaches an additional observer. Events are delivered to every
+  // Attaches an observer (e.g. trace::Tracer) to the event bus that every
+  // layer emits into (sim::Kernel::Emit). Events are delivered to every
   // attached observer in attachment order — the order is part of the
   // deterministic contract (two identical runs deliver the identical
   // sequence to each observer). May be called before Run() or from ordered
@@ -392,12 +254,15 @@ class Runtime {
   void RemoveObserver(RuntimeObserver* observer);
 
   // Attaches a metrics registry. The runtime pre-registers and fills the
-  // core metric families (see docs/OBSERVABILITY.md for the catalogue):
-  // invocation latency local/remote, migration counts/bytes/latency,
-  // forwarding-chain length, replica fetches, run-queue depth/wait, lock
-  // wait/hold, rpc latency and per-link traffic are recorded live; scalar
-  // totals are published when Run() finishes. Call before Run(); nullptr
-  // detaches. With no registry attached the hot paths are untouched.
+  // core metric families (see docs/OBSERVABILITY.md for the catalogue).
+  // Every family whose fact an event carries — scheduler, rpc, fault,
+  // per-link, invocation, lock, drain, recovery and policy — is recorded by
+  // an ordinary observer that this call adds to the bus, so it sees events
+  // at its place in attach order like any other. The few facts that are not
+  // on the bus (migration and move cost, forwarding chains, checkpoints,
+  // ...) are recorded inline, and scalar totals are published when Run()
+  // finishes. Call before Run(); nullptr detaches. With no registry
+  // attached the hot paths are untouched.
   void SetMetrics(metrics::Registry* registry);
   metrics::Registry* metrics() const { return metrics_; }
 
@@ -448,9 +313,9 @@ class Runtime {
   };
   std::vector<HeldLock> HeldLocks() const;
 
-  // True when an observer or metrics registry is attached; instrumentation
-  // call sites outside the runtime (core/sync) gate on this.
-  bool instrumented() const { return !observers_.empty() || metrics_ != nullptr; }
+  // True when any observer (a metrics registry included) is attached;
+  // instrumentation call sites outside the runtime (core/sync) gate on this.
+  bool instrumented() const { return sim_->observed(); }
 
   // --- Contention instrumentation (called by core/sync; cheap no-ops
   // unless instrumented()) ----------------------------------------------------
@@ -586,6 +451,9 @@ class Runtime {
   // context, latency model). *accepted=false with kOk means the object had
   // moved on and the caller should re-resolve.
   Status RequestRemoteMove(Object* obj, NodeId owner, NodeId dst, bool* accepted);
+  // Records a landed move's latency since `start` and its payload bytes
+  // into the attached registry, if any.
+  void RecordMove(Time start, int64_t bytes);
   // Installs a replica of immutable obj at dst (MoveTo-on-immutable, §2.3).
   Status ReplicateTo(Object* obj, NodeId dst);
   // Entry wrapper for every thread fiber: root frame, body, joiner wakeup.
@@ -615,9 +483,8 @@ class Runtime {
   // attached; the pull is billed to the calling thread like any MoveTo.
   void MaybePolicyPull(Object* primary);
 
-  // Installs / removes the kernel, transport and network bridges according
-  // to which sinks (observer_, metrics_) are attached.
-  void UpdateInstrumentation();
+  // The demangled dynamic type of obj: the label of its invocation spans.
+  const std::string& ObjectLabel(const Object* obj);
   // Copies the scalar run totals (object/migration counters, network and
   // simulator activity, per-node busy time) into the attached registry.
   void PublishRunTotals(Time end);
@@ -658,9 +525,6 @@ class Runtime {
   int64_t thread_migrations_ = 0;
   int64_t forward_hops_ = 0;
   std::vector<int64_t> migration_matrix_;  // nodes x nodes, row = source
-  // Attached observers, in attachment (= delivery) order. Emission sites
-  // loop over this vector; an empty vector short-circuits to one branch.
-  std::vector<RuntimeObserver*> observers_;
   metrics::Registry* metrics_ = nullptr;
   fault::Injector* injector_ = nullptr;
   // Heartbeat/lease failure detector, created by SetFaultInjector for active
@@ -679,13 +543,13 @@ class Runtime {
   // Ground-truth crash instants (injector hook) for member.detect_latency.
   std::vector<Time> crash_time_;
   FailureHandler failure_handler_;
-  // Bridges sim::SchedObserver / rpc::TransportObserver callbacks into the
-  // RuntimeObserver + registry; allocated on demand (see runtime.cc).
-  struct Instrumentation;
-  std::unique_ptr<Instrumentation> instr_;
-  // Per-event metric handles into metrics_ (runtime.cc); null without one.
+  // The registry's observer on the bus, and the handles of the inline
+  // metric sites (runtime.cc); null without a registry.
   struct MetricHandles;
   std::unique_ptr<MetricHandles> metric_handles_;
+  // Invocation span labels, demangled once per dynamic type. Keyed by the
+  // type_info name, which is unique to its type within one binary.
+  std::unordered_map<const char*, std::string> object_labels_;
   std::unordered_map<const void*, int> sync_ids_;  // lock/cond -> dense id
   struct LockHold {
     Time since = 0;

@@ -4,17 +4,7 @@
 
 namespace fault {
 
-const char* DropReasonName(DropReason r) {
-  switch (r) {
-    case DropReason::kLossy:
-      return "lossy";
-    case DropReason::kPartition:
-      return "partition";
-    case DropReason::kNodeDown:
-      return "node_down";
-  }
-  return "?";
-}
+using amber::RuntimeObserver;
 
 void Injector::Attach(sim::Kernel* kernel, net::Network* net, rpc::Transport* rpc) {
   AMBER_CHECK(!attached_) << "fault injector attached twice";
@@ -34,9 +24,7 @@ void Injector::Attach(sim::Kernel* kernel, net::Network* net, rpc::Transport* rp
     kernel->Post(e.crash_at, [this, node = e.node] {
       kernel_->SetNodeUp(node, false);
       ++crashes_;
-      if (sink_ != nullptr) {
-        sink_->OnNodeCrash(kernel_->Now(), node);
-      }
+      Report(&RuntimeObserver::OnNodeCrash, kernel_->Now(), node);
       if (node_handler_) {
         node_handler_(kernel_->Now(), node, /*up=*/false);
       }
@@ -45,9 +33,7 @@ void Injector::Attach(sim::Kernel* kernel, net::Network* net, rpc::Transport* rp
       kernel->Post(e.restart_at, [this, node = e.node] {
         kernel_->SetNodeUp(node, true);
         ++restarts_;
-        if (sink_ != nullptr) {
-          sink_->OnNodeRestart(kernel_->Now(), node);
-        }
+        Report(&RuntimeObserver::OnNodeRestart, kernel_->Now(), node);
         if (node_handler_) {
           node_handler_(kernel_->Now(), node, /*up=*/true);
         }
@@ -92,20 +78,20 @@ net::FaultDecision Injector::OnTransmit(NodeId src, NodeId dst, int64_t bytes, T
   net::FaultDecision fd;
   // Fail-stop crashes and partitions are deterministic total loss; they are
   // checked before the probabilistic rules so they consume no RNG draws.
-  DropReason reason;
+  const char* reason = "";  // the observer's drop label
   if (!NodeUp(src) || !NodeUp(dst)) {
     fd.action = net::FaultAction::kDrop;
-    reason = DropReason::kNodeDown;
+    reason = "node_down";
   } else if (Partitioned(src, dst, depart)) {
     fd.action = net::FaultAction::kDrop;
-    reason = DropReason::kPartition;
+    reason = "partition";
   } else if (const LinkRule* r = MatchRule(src, dst); r != nullptr) {
     // Draws happen in a fixed order (drop, duplicate, delay) and only when
     // the corresponding probability is nonzero, so the stream of random
     // numbers is a pure function of the traffic sequence.
     if (r->drop > 0 && rng_.NextDouble() < r->drop) {
       fd.action = net::FaultAction::kDrop;
-      reason = DropReason::kLossy;
+      reason = "lossy";
     } else {
       // Bulk transfers never duplicate: the bulk protocol numbers its
       // fragments and suppresses duplicates below the delivery callback, so
@@ -113,33 +99,25 @@ net::FaultDecision Injector::OnTransmit(NodeId src, NodeId dst, int64_t bytes, T
       if (!bulk && r->duplicate > 0 && rng_.NextDouble() < r->duplicate) {
         fd.action = net::FaultAction::kDuplicate;
         ++duplicates_;
-        if (sink_ != nullptr) {
-          sink_->OnMessageDuplicated(depart, src, dst, bytes);
-        }
+        Report(&RuntimeObserver::OnMessageDuplicated, depart, src, dst, bytes);
       }
       if (r->delay > 0 && rng_.NextDouble() < r->delay) {
         fd.extra_delay = rng_.Range(r->delay_min, r->delay_max);
         ++delays_;
-        if (sink_ != nullptr) {
-          sink_->OnMessageDelayed(depart, src, dst, fd.extra_delay);
-        }
+        Report(&RuntimeObserver::OnMessageDelayed, depart, src, dst, fd.extra_delay);
       }
     }
   }
   if (fd.action == net::FaultAction::kDrop) {
     ++drops_;
-    if (sink_ != nullptr) {
-      sink_->OnMessageDropped(depart, src, dst, bytes, reason);
-    }
+    Report(&RuntimeObserver::OnMessageDropped, depart, src, dst, bytes, reason);
   }
   return fd;
 }
 
 void Injector::OnArrivalAtDeadNode(NodeId src, NodeId dst, int64_t bytes, Time arrival) {
   ++drops_;
-  if (sink_ != nullptr) {
-    sink_->OnMessageDropped(arrival, src, dst, bytes, DropReason::kNodeDown);
-  }
+  Report(&RuntimeObserver::OnMessageDropped, arrival, src, dst, bytes, "node_down");
 }
 
 }  // namespace fault

@@ -47,11 +47,6 @@ using sim::NodeId;
 inline constexpr Time kForever = std::numeric_limits<Time>::max();
 inline constexpr NodeId kAnyNode = -1;
 
-// Why a frame was dropped (observer/metrics label).
-enum class DropReason : uint8_t { kLossy, kPartition, kNodeDown };
-
-const char* DropReasonName(DropReason r);
-
 // Probabilistic misbehaviour of one direction of one link. kAnyNode
 // wildcards match every endpoint; the first matching rule wins.
 struct LinkRule {
@@ -89,20 +84,6 @@ struct FaultPlan {
   bool empty() const { return links.empty() && partitions.empty() && node_events.empty(); }
 };
 
-// Receives fault events as they happen (at ordered points, virtual
-// timestamps). The Amber runtime implements this to fan events out to its
-// RuntimeObserver bus and the fault.* metrics.
-class FaultSink {
- public:
-  virtual ~FaultSink() = default;
-  virtual void OnMessageDropped(Time when, NodeId src, NodeId dst, int64_t bytes,
-                                DropReason reason) {}
-  virtual void OnMessageDuplicated(Time when, NodeId src, NodeId dst, int64_t bytes) {}
-  virtual void OnMessageDelayed(Time when, NodeId src, NodeId dst, Duration extra) {}
-  virtual void OnNodeCrash(Time when, NodeId node) {}
-  virtual void OnNodeRestart(Time when, NodeId node) {}
-};
-
 class Injector : public net::FaultFilter {
  public:
   explicit Injector(FaultPlan plan) : plan_(std::move(plan)), rng_(plan_.seed) {}
@@ -120,15 +101,11 @@ class Injector : public net::FaultFilter {
   // Kernel::Run(). A no-op when the plan is empty.
   void Attach(sim::Kernel* kernel, net::Network* net, rpc::Transport* rpc);
 
-  // Attaches an event sink (nullptr detaches). May be set before or after
-  // Attach().
-  void SetSink(FaultSink* sink) { sink_ = sink; }
-
   // Node lifecycle hook: called in event context, after the kernel's node
   // state has flipped, for every executed crash/restart plan event. Unlike
-  // the FaultSink (observability, optional) this drives *semantics*: the
-  // runtime uses it for membership bookkeeping and boot-time recovery of a
-  // restarted node's descriptor tables.
+  // the OnNodeCrash/OnNodeRestart events on the kernel's observer bus, this
+  // drives *semantics*: the runtime uses it for membership bookkeeping and
+  // boot-time recovery of a restarted node's descriptor tables.
   using NodeEventHandler = std::function<void(Time when, NodeId node, bool up)>;
   void SetNodeEventHandler(NodeEventHandler handler) { node_handler_ = std::move(handler); }
 
@@ -161,6 +138,14 @@ class Injector : public net::FaultFilter {
   const FaultPlan& plan() const { return plan_; }
 
  private:
+  // Reports a fault on the kernel's event bus. An injector that was never
+  // attached (tests drive OnTransmit directly) has no bus to report to.
+  template <typename... Params, typename... Args>
+  void Report(void (amber::RuntimeObserver::*event)(Params...), const Args&... args) {
+    if (kernel_ != nullptr) {
+      kernel_->Emit(event, args...);
+    }
+  }
   bool Partitioned(NodeId src, NodeId dst, Time at) const;
   const LinkRule* MatchRule(NodeId src, NodeId dst) const;
 
@@ -168,7 +153,6 @@ class Injector : public net::FaultFilter {
   amber::Rng rng_;
   bool attached_ = false;
   sim::Kernel* kernel_ = nullptr;  // set only by an *active* Attach()
-  FaultSink* sink_ = nullptr;
   NodeEventHandler node_handler_;
   int64_t drops_ = 0;
   int64_t duplicates_ = 0;

@@ -1,14 +1,16 @@
 #include "src/fdr/fdr.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <string_view>
 
+#include "src/base/json.h"
 #include "src/metrics/metrics.h"
 #include "src/sim/fiber.h"
 
 namespace fdr {
 namespace {
+
+using amber::json::Quote;
 
 // Stable type names — the dump schema renderers switch on.
 const char* TypeName(EventType t) {
@@ -67,26 +69,6 @@ const char* DropName(uint8_t code) {
     case 3: return "node_down";
   }
   return "other";
-}
-
-void EscapeJson(std::ostream& out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':  out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\t': out << "\\t"; break;
-      case '\r': out << "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out << buf;
-        } else {
-          out << c;
-        }
-    }
-  }
 }
 
 }  // namespace
@@ -588,16 +570,10 @@ void Recorder::WriteDump(std::ostream& out, const std::string& reason,
   amber::Runtime* rt = amber::Runtime::CurrentOrNull();
 
   out << "{\n";
-  out << "  \"fdr\": \"";
-  EscapeJson(out, config_.name);
-  out << "\",\n";
+  out << "  \"fdr\": " << Quote(config_.name) << ",\n";
   out << "  \"schema\": 1,\n";
-  out << "  \"reason\": \"";
-  EscapeJson(out, reason);
-  out << "\",\n";
-  out << "  \"detail\": \"";
-  EscapeJson(out, detail);
-  out << "\",\n";
+  out << "  \"reason\": " << Quote(reason) << ",\n";
+  out << "  \"detail\": " << Quote(detail) << ",\n";
   const Time vt = rt != nullptr ? rt->now() : last_time_;
   out << "  \"virtual_time_ns\": " << vt << ",\n";
   // The thread this dump is "about": the fiber that was executing when the
@@ -684,9 +660,8 @@ void Recorder::WriteDump(std::ostream& out, const std::string& reason,
   {
     bool first = true;
     threads_.ForEach([&](ThreadId tid, const ThreadLive& t) {
-      out << (first ? "" : ",") << "\n    {\"thread\":" << tid << ",\"name\":\"";
-      EscapeJson(out, t.name);
-      out << "\",\"parent\":" << t.parent << ",\"node\":" << t.node << ",\"status\":\"";
+      out << (first ? "" : ",") << "\n    {\"thread\":" << tid << ",\"name\":" << Quote(t.name)
+          << ",\"parent\":" << t.parent << ",\"node\":" << t.node << ",\"status\":\"";
       switch (t.status) {
         case Status::kReady:   out << "ready"; break;
         case Status::kRunning: out << "running"; break;
@@ -825,9 +800,9 @@ void Recorder::WriteDump(std::ostream& out, const std::string& reason,
     bool first = true;
     for (int id : selected) {
       const ObjectLive& o = objects_[static_cast<size_t>(id)];
-      out << (first ? "" : ",") << "\n    {\"id\":" << id << ",\"label\":\"";
-      EscapeJson(out, o.label.empty() ? "obj-" + std::to_string(id) : o.label);
-      out << "\",\"node\":" << o.node << ",\"last_touched_ns\":" << o.last_touch
+      out << (first ? "" : ",") << "\n    {\"id\":" << id << ",\"label\":"
+          << Quote(o.label.empty() ? "obj-" + std::to_string(id) : o.label)
+          << ",\"node\":" << o.node << ",\"last_touched_ns\":" << o.last_touch
           << ",\"chain\":[";
       auto it = chains.find(id);
       if (it != chains.end()) {
@@ -848,9 +823,8 @@ void Recorder::WriteDump(std::ostream& out, const std::string& reason,
   if (rt != nullptr) {
     bool first = true;
     rt->sim().ForEachFiber([&](const sim::Fiber& f) {
-      out << (first ? "" : ",") << "\n    {\"fiber\":" << f.id << ",\"name\":\"";
-      EscapeJson(out, f.name);
-      out << "\",\"node\":" << f.node << ",\"processor\":" << f.processor << ",\"state\":\""
+      out << (first ? "" : ",") << "\n    {\"fiber\":" << f.id << ",\"name\":" << Quote(f.name)
+          << ",\"node\":" << f.node << ",\"processor\":" << f.processor << ",\"state\":\""
           << sim::FiberStateName(f.state) << "\",\"vtime_ns\":" << f.vtime << "}";
       first = false;
     });

@@ -1,43 +1,14 @@
 #include "src/metrics/metrics.h"
 
-#include <cinttypes>
 #include <cmath>
-#include <cstdio>
 #include <iostream>
 
+#include "src/base/json.h"
+
 namespace metrics {
-namespace {
 
-// JSON number rendering: integral values print without a fraction so counter
-// sums and nanosecond timestamps stay exact; everything else uses %.9g.
-// Both forms are deterministic functions of the value's bit pattern.
-std::string Num(double v) {
-  char buf[40];
-  if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 9.0e15) {
-    std::snprintf(buf, sizeof(buf), "%" PRId64, static_cast<int64_t>(v));
-  } else if (std::isfinite(v)) {
-    std::snprintf(buf, sizeof(buf), "%.9g", v);
-  } else {
-    std::snprintf(buf, sizeof(buf), "0");  // JSON has no inf/nan
-  }
-  return buf;
-}
-
-std::string Quote(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-    }
-    if (static_cast<unsigned char>(c) >= 0x20) {
-      out.push_back(c);
-    }
-  }
-  out.push_back('"');
-  return out;
-}
-
-}  // namespace
+using amber::json::Num;
+using amber::json::Quote;
 
 HistogramSnapshot Histogram::Snapshot() const {
   HistogramSnapshot s{acc_.count(), acc_.sum(), {}};

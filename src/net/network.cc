@@ -8,6 +8,8 @@
 
 namespace net {
 
+using amber::RuntimeObserver;
+
 void Network::SetMetrics(metrics::Registry* registry) {
   metrics_ = registry;
   link_bytes_ = {registry, "net.link_bytes"};
@@ -77,9 +79,7 @@ TxResult Network::Loopback(NodeId node, int64_t bytes, Time depart,
   messages_.Add();
   bytes_.Add(bytes);
   fragments_.Add();
-  if (on_message_) {
-    on_message_(depart, arrival, node, node, bytes);
-  }
+  kernel_->Emit(&RuntimeObserver::OnMessage, depart, arrival, node, node, bytes);
   if (deliver) {
     PostDelivery(node, node, bytes, arrival, std::move(deliver));
   }
@@ -111,9 +111,7 @@ TxResult Network::SendTracked(NodeId src, NodeId dst, int64_t bytes, Time depart
   RecordLinkTx(src, dst, bytes);
   const bool delivered = fd.action != FaultAction::kDrop;
   if (delivered) {
-    if (on_message_) {
-      on_message_(depart, arrival, src, dst, bytes);
-    }
+    kernel_->Emit(&RuntimeObserver::OnMessage, depart, arrival, src, dst, bytes);
     if (deliver) {
       PostDelivery(src, dst, bytes, arrival, deliver);
     }
@@ -128,9 +126,7 @@ TxResult Network::SendTracked(NodeId src, NodeId dst, int64_t bytes, Time depart
     bytes_.Add(bytes);
     fragments_.Add();
     RecordLinkTx(src, dst, bytes);
-    if (on_message_) {
-      on_message_(depart, arrival2, src, dst, bytes);
-    }
+    kernel_->Emit(&RuntimeObserver::OnMessage, depart, arrival2, src, dst, bytes);
     if (deliver) {
       PostDelivery(src, dst, bytes, arrival2, deliver);
     }
@@ -179,9 +175,7 @@ TxResult Network::SendBulkTracked(NodeId src, NodeId dst, int64_t bytes, Time de
   RecordLinkTx(src, dst, bytes);
   const bool delivered = fd.action != FaultAction::kDrop;
   if (delivered) {
-    if (on_message_) {
-      on_message_(depart, arrival, src, dst, bytes);
-    }
+    kernel_->Emit(&RuntimeObserver::OnMessage, depart, arrival, src, dst, bytes);
     if (deliver) {
       PostDelivery(src, dst, bytes, arrival, std::move(deliver));
     }

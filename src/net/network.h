@@ -125,11 +125,6 @@ class Network {
 
   Topology topology() const { return topology_; }
 
-  // Observer of every transmission (tracing). Called with (depart, arrive,
-  // src, dst, bytes) at ordered points.
-  using MessageObserver = std::function<void(Time, Time, NodeId, NodeId, int64_t)>;
-  void SetMessageObserver(MessageObserver observer) { on_message_ = std::move(observer); }
-
   // Attaches a metrics registry (nullptr detaches): every medium
   // transmission records per-link histograms, labelled "src->dst" —
   // net.link_bytes (payload per transmitted message; a fault-duplicated
@@ -169,7 +164,6 @@ class Network {
   Counter bytes_;
   Counter fragments_;
   Duration busy_ns_ = 0;
-  MessageObserver on_message_;
   FaultFilter* fault_ = nullptr;
   metrics::Registry* metrics_ = nullptr;
   // Per-link handles into metrics_, resolved on first use.

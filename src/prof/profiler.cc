@@ -4,23 +4,12 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "src/base/json.h"
+
 namespace prof {
 namespace {
 
-// Minimal JSON string escaping (labels are runtime-generated, but be safe).
-std::string Escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-    }
-    if (static_cast<unsigned char>(c) >= 0x20) {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
+using amber::json::Escape;
 
 std::string NodeCat(const char* prefix, NodeId n) {
   return std::string(prefix) + std::to_string(n);

@@ -5,6 +5,9 @@
 #include "src/base/panic.h"
 
 namespace rpc {
+
+using amber::RuntimeObserver;
+
 namespace {
 
 // Shared state of one reliable roundtrip, reachable from the requester
@@ -89,9 +92,7 @@ RoundtripResult Transport::Roundtrip(NodeId dst, int64_t request_bytes,
   const Time depart = ChargeSendPath(wire_bytes);
   ++roundtrips_;
   const uint64_t id = next_rpc_id_++;
-  if (observer_ != nullptr) {
-    observer_->OnRpcRequest(depart, src, dst, wire_bytes, id, f->id);
-  }
+  kernel_->Emit(&RuntimeObserver::OnRpcRequest, depart, src, dst, wire_bytes, id, f->id);
   Time reply_arrival = 0;
   net_->Send(src, dst, wire_bytes, depart, [this, f, src, dst, service, id, ctx,
                                             &reply_arrival] {
@@ -104,9 +105,8 @@ RoundtripResult Transport::Roundtrip(NodeId dst, int64_t request_bytes,
     // rpc_recv_software/marshal_base terms below (latency model).
     const Time reply_depart = kernel_->Now() + kernel_->cost().MarshalCost(reply_bytes);
     reply_arrival = net_->Send(dst, src, reply_bytes, reply_depart, nullptr);
-    if (observer_ != nullptr) {
-      observer_->OnRpcResponse(served, reply_arrival, dst, src, reply_bytes, id);
-    }
+    kernel_->Emit(&RuntimeObserver::OnRpcResponse, served, reply_arrival, dst, src, reply_bytes,
+                  id);
     kernel_->Wake(f, reply_arrival);
   });
   kernel_->Block();
@@ -169,14 +169,10 @@ RoundtripResult Transport::RoundtripReliable(NodeId dst, int64_t request_bytes,
       reply_cache_[id] = CachedReply{st->reply_bytes, kernel_->Now()};
       const Time reply_depart = kernel_->Now() + kernel_->cost().MarshalCost(st->reply_bytes);
       const net::TxResult tx = net_->SendTracked(dst, src, st->reply_bytes, reply_depart, on_reply);
-      if (observer_ != nullptr) {
-        observer_->OnRpcResponse(served, tx.arrival, dst, src, st->reply_bytes, id);
-      }
+      kernel_->Emit(&RuntimeObserver::OnRpcResponse, served, tx.arrival, dst, src,
+                    st->reply_bytes, id);
     } else {
       ++dups_suppressed_;
-      if (observer_ != nullptr) {
-        observer_->OnRpcDuplicateSuppressed(kernel_->Now(), dst, id);
-      }
       auto cached = reply_cache_.find(id);
       if (cached != reply_cache_.end()) {
         // Cached reply: already marshalled, so it departs immediately.
@@ -195,9 +191,7 @@ RoundtripResult Transport::RoundtripReliable(NodeId dst, int64_t request_bytes,
     Time depart;
     if (attempt == 0) {
       depart = ChargeSendPath(wire_bytes);
-      if (observer_ != nullptr) {
-        observer_->OnRpcRequest(depart, src, dst, wire_bytes, id, f->id);
-      }
+      kernel_->Emit(&RuntimeObserver::OnRpcRequest, depart, src, dst, wire_bytes, id, f->id);
     } else {
       // Retransmission: the payload is already marshalled; only the protocol
       // send path is paid again.
@@ -205,9 +199,7 @@ RoundtripResult Transport::RoundtripReliable(NodeId dst, int64_t request_bytes,
       kernel_->Sync();
       depart = kernel_->Now();
       ++retries_;
-      if (observer_ != nullptr) {
-        observer_->OnRpcRetry(depart, src, dst, id, attempt, f->id);
-      }
+      kernel_->Emit(&RuntimeObserver::OnRpcRetry, depart, src, dst, id, attempt, f->id);
     }
     // No events run between here and Block(): fiber code between kernel
     // calls is atomic, so arming waiting/epoch now is safe.
@@ -240,9 +232,7 @@ RoundtripResult Transport::RoundtripReliable(NodeId dst, int64_t request_bytes,
     return RoundtripResult{SendStatus::kTimeout, kernel_->Now(), 0};
   }
   ++timeouts_;
-  if (observer_ != nullptr) {
-    observer_->OnRpcTimeout(kernel_->Now(), src, dst, id, sent, f->id);
-  }
+  kernel_->Emit(&RuntimeObserver::OnRpcTimeout, kernel_->Now(), src, dst, id, sent, f->id);
   return RoundtripResult{SendStatus::kTimeout, kernel_->Now(), sent};
 }
 
@@ -283,9 +273,7 @@ TravelResult Transport::Travel(NodeId dst, int64_t payload_bytes) {
       kernel_->Sync();
       depart = kernel_->Now();
       ++retries_;
-      if (observer_ != nullptr) {
-        observer_->OnRpcRetry(depart, src, dst, id, attempt, f->id);
-      }
+      kernel_->Emit(&RuntimeObserver::OnRpcRetry, depart, src, dst, id, attempt, f->id);
     }
     // The simulator's oracle view of delivery stands in for the migration
     // protocol's arrival ack: a lost carrier frame surfaces as an ack
@@ -307,9 +295,7 @@ TravelResult Transport::Travel(NodeId dst, int64_t payload_bytes) {
     return TravelResult{SendStatus::kTimeout, 0};  // suspected before any send
   }
   ++timeouts_;
-  if (observer_ != nullptr) {
-    observer_->OnRpcTimeout(kernel_->Now(), src, dst, id, sent, f->id);
-  }
+  kernel_->Emit(&RuntimeObserver::OnRpcTimeout, kernel_->Now(), src, dst, id, sent, f->id);
   return TravelResult{SendStatus::kTimeout, sent};
 }
 

@@ -71,36 +71,6 @@ struct RetryPolicy {
   }
 };
 
-// Observer of request/response roundtrips (tracing, metrics, profiling).
-// `id` pairs a request with its response; `requester` is the fiber id of
-// the blocked caller (so profilers can attribute the wait to a thread —
-// OnRpcResponse runs in event context where that identity is not
-// recoverable). Callbacks fire at ordered points and must not call back
-// into the transport.
-class TransportObserver {
- public:
-  virtual ~TransportObserver() = default;
-  // A request of `bytes` left `src` for `dst` at `depart` (first attempt).
-  virtual void OnRpcRequest(Time depart, NodeId src, NodeId dst, int64_t bytes, uint64_t id,
-                            uint64_t requester) {}
-  // The service at `src` produced a `bytes` reply for the requester at
-  // `dst`; `when` is the service execution time, `reply_arrive` when the
-  // reply reaches the requester.
-  virtual void OnRpcResponse(Time when, Time reply_arrive, NodeId src, NodeId dst, int64_t bytes,
-                             uint64_t id) {}
-  // --- Failure-path events (reliability mode only) --------------------------
-  // Attempt `attempt` (1-based retransmission count) of request `id` left
-  // src for dst after the previous attempt timed out.
-  virtual void OnRpcRetry(Time when, NodeId src, NodeId dst, uint64_t id, int attempt,
-                          uint64_t requester) {}
-  // The operation gave up after `attempts` transmissions.
-  virtual void OnRpcTimeout(Time when, NodeId src, NodeId dst, uint64_t id, int attempts,
-                            uint64_t requester) {}
-  // The receiver saw a duplicate of an already-served request and re-sent
-  // the cached reply without re-running the service.
-  virtual void OnRpcDuplicateSuppressed(Time when, NodeId node, uint64_t id) {}
-};
-
 // Trace-context piggybacking (src/rtrace). The hook is consulted once per
 // Roundtrip/Travel on the requesting fiber; the returned frame rides every
 // transmission of that operation (a retransmission re-carries the identical
@@ -155,10 +125,6 @@ class Transport {
                                 std::function<void()> deliver = nullptr);
 
   net::Network& network() { return *net_; }
-
-  // Attaches a roundtrip observer (nullptr detaches). Emission sites are
-  // guarded, so the cost is zero when none is attached.
-  void SetObserver(TransportObserver* observer) { observer_ = observer; }
 
   // Attaches the trace-context hook (nullptr detaches); see TraceHook.
   void SetTraceHook(TraceHook* hook) { trace_hook_ = hook; }
@@ -215,7 +181,6 @@ class Transport {
 
   sim::Kernel* kernel_;
   net::Network* net_;
-  TransportObserver* observer_ = nullptr;
   TraceHook* trace_hook_ = nullptr;
   RetryPolicy retry_;
   std::function<bool(NodeId, NodeId)> suspects_;

@@ -2,21 +2,13 @@
 
 #include <algorithm>
 
+#include "src/base/json.h"
 #include "src/rpc/wire.h"
 
 namespace rtrace {
 namespace {
 
-void EscapeJson(std::ostream& out, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out << '\\';
-    }
-    if (static_cast<unsigned char>(c) >= 0x20) {
-      out << c;
-    }
-  }
-}
+using amber::json::Quote;
 
 // Every completed trace carries all categories (zero included), so dumps
 // diff cleanly and consumers need no key-existence checks. Indexed by
@@ -566,9 +558,7 @@ void Tracer::OnRecoveryEnd(Time when, NodeId node, ThreadId thread, const void* 
 
 void Tracer::WriteJson(std::ostream& out) const {
   out << "{\n";
-  out << "  \"rtrace\": \"";
-  EscapeJson(out, config_.name);
-  out << "\",\n";
+  out << "  \"rtrace\": " << Quote(config_.name) << ",\n";
   out << "  \"schema\": 1,\n";
   out << "  \"sample_every\": " << config_.sample_every << ",\n";
   out << "  \"requests_seen\": " << requests_seen_ << ",\n";
@@ -584,9 +574,8 @@ void Tracer::WriteJson(std::ostream& out) const {
     }
     out << (first_trace ? "\n" : ",\n");
     first_trace = false;
-    out << "    {\"trace_id\": " << t.trace_id << ", \"name\": \"";
-    EscapeJson(out, t.name);
-    out << "\", \"root_thread\": " << t.root_thread << ", \"start_ns\": " << t.start
+    out << "    {\"trace_id\": " << t.trace_id << ", \"name\": " << Quote(t.name)
+        << ", \"root_thread\": " << t.root_thread << ", \"start_ns\": " << t.start
         << ", \"end_ns\": " << t.end << ", \"latency_ns\": " << t.latency()
         << ", \"hops\": " << t.hops << ",\n     \"attribution\": {";
     bool first_cat = true;
@@ -601,9 +590,8 @@ void Tracer::WriteJson(std::ostream& out) const {
       first_span = false;
       out << "       {\"id\": " << s.id << ", \"parent\": " << s.parent << ", \"kind\": \""
           << SpanKindName(s.kind) << "\", \"start_ns\": " << s.start << ", \"end_ns\": " << s.end
-          << ", \"node\": " << s.node << ", \"thread\": " << s.thread << ", \"label\": \"";
-      EscapeJson(out, s.label);
-      out << "\", \"aux\": " << s.aux << ", \"retries\": " << s.retries
+          << ", \"node\": " << s.node << ", \"thread\": " << s.thread << ", \"label\": "
+          << Quote(s.label) << ", \"aux\": " << s.aux << ", \"retries\": " << s.retries
           << ", \"failed\": " << (s.failed ? "true" : "false") << "}";
     }
     out << (first_span ? "]}" : "\n     ]}");

@@ -8,6 +8,8 @@
 
 namespace sim {
 
+using amber::RuntimeObserver;
+
 Kernel::Kernel(const Config& config) : cost_(config.cost), procs_per_node_(config.procs_per_node) {
   AMBER_CHECK(config.nodes >= 1);
   AMBER_CHECK(config.procs_per_node >= 1);
@@ -46,9 +48,11 @@ Fiber* Kernel::Spawn(NodeId node, void* stack_base, size_t stack_size, std::func
   f->slot = fibers_.size();
   fibers_.push_back(std::move(owned));
   ++live_fibers_;
-  if (sched_observer_ != nullptr) {
-    sched_observer_->OnFiberCreate(Now(), node, *f);
-  }
+  // Spawn runs in the creating fiber's context (host context for the
+  // initial thread), so current_ is the parent — the causal creation edge
+  // the critical-path profiler walks.
+  Emit(&RuntimeObserver::OnThreadCreate, Now(), node, f->id, f->name,
+       current_ != nullptr ? current_->id : amber::ThreadId{0});
   Post(Now(), [this, f] {
     EnqueueReady(f, queue_.now());
     TryDispatch(f->node);
@@ -93,6 +97,17 @@ RunQueue& Kernel::run_queue(NodeId node) {
   return *nodes_[node].queue;
 }
 
+void Kernel::AddObserver(RuntimeObserver* observer) {
+  AMBER_CHECK(observer != nullptr);
+  AMBER_CHECK(std::find(observers_.begin(), observers_.end(), observer) == observers_.end())
+      << "observer already attached";
+  observers_.push_back(observer);
+}
+
+void Kernel::RemoveObserver(RuntimeObserver* observer) {
+  std::erase(observers_, observer);
+}
+
 Time Kernel::Now() const { return current_ != nullptr ? current_->vtime : queue_.now(); }
 
 // --- Dispatch machinery -----------------------------------------------------
@@ -127,9 +142,7 @@ void Kernel::TryDispatch(NodeId node) {
     ns.procs[proc].running = f;
     ns.procs[proc].busy_since = start;
     ++dispatches_;
-    if (sched_observer_ != nullptr) {
-      sched_observer_->OnFiberDispatch(start, node, *f, start - f->ready_since);
-    }
+    Emit(&RuntimeObserver::OnThreadDispatch, start, node, f->id, start - f->ready_since);
     if (telemetry::SelfProfiler* prof = telemetry::SelfProfiler::active()) {
       prof->NodeDispatch(node);
     }
@@ -171,13 +184,8 @@ void Kernel::ReleaseProcessorAndMaybeRequeue(Fiber* f, bool requeue) {
     ns.busy_ns += t - ns.procs[proc].busy_since;
     ns.procs[proc].running = nullptr;
     ns.free_procs.push_back(proc);
-    if (sched_observer_ != nullptr) {
-      if (requeue) {
-        sched_observer_->OnFiberPreempt(t, node, *f);
-      } else {
-        sched_observer_->OnFiberBlock(t, node, *f);
-      }
-    }
+    Emit(requeue ? &RuntimeObserver::OnThreadPreempt : &RuntimeObserver::OnThreadBlock, t, node,
+         f->id);
     if (requeue) {
       EnqueueReady(f, queue_.now());
     }
@@ -283,16 +291,13 @@ void Kernel::TravelTo(NodeId node, Time arrive) {
     ns.busy_ns += t - ns.procs[proc].busy_since;
     ns.procs[proc].running = nullptr;
     ns.free_procs.push_back(proc);
-    if (sched_observer_ != nullptr) {
-      sched_observer_->OnFiberBlock(t, src, *f);  // in flight to another node
-    }
+    Emit(&RuntimeObserver::OnThreadBlock, t, src, f->id);  // in flight to another node
     TryDispatch(src);
   });
   Post(arrive, [this, f, node] {
     f->node = node;
-    if (sched_observer_ != nullptr) {
-      sched_observer_->OnFiberUnblock(queue_.now(), node, *f, /*waker_id=*/0, queue_.now());
-    }
+    Emit(&RuntimeObserver::OnThreadUnblock, queue_.now(), node, f->id, amber::ThreadId{0},
+         queue_.now());
     EnqueueReady(f, queue_.now());
     TryDispatch(node);
   });
@@ -332,9 +337,7 @@ void Kernel::Exit() {
   f->processor = -1;
   // Emitted from fiber context: the posted release below may run after a
   // joiner has already reclaimed the Fiber record.
-  if (sched_observer_ != nullptr) {
-    sched_observer_->OnFiberExit(t, node, *f);
-  }
+  Emit(&RuntimeObserver::OnThreadExit, t, node, f->id);
   Post(t, [this, node, proc, t] {
     NodeState& ns = nodes_[node];
     ns.busy_ns += t - ns.procs[proc].busy_since;
@@ -357,9 +360,7 @@ void Kernel::Wake(Fiber* f, Time t) {
   Post(t, [this, f, waker_id, wake_time] {
     AMBER_DCHECK(f->state == FiberState::kBlocked)
         << "waking fiber " << f->name << " in state " << static_cast<int>(f->state);
-    if (sched_observer_ != nullptr) {
-      sched_observer_->OnFiberUnblock(queue_.now(), f->node, *f, waker_id, wake_time);
-    }
+    Emit(&RuntimeObserver::OnThreadUnblock, queue_.now(), f->node, f->id, waker_id, wake_time);
     EnqueueReady(f, queue_.now());
     TryDispatch(f->node);
   });

@@ -30,39 +30,11 @@
 #include "src/sim/cost_model.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/fiber.h"
+#include "src/sim/observer.h"
 #include "src/sim/run_queue.h"
+#include "src/telemetry/telemetry.h"
 
 namespace sim {
-
-// Observer of scheduling events (run-queue activity, blocking, preemption).
-// Callbacks fire at ordered points with virtual timestamps and must not call
-// back into the kernel's mutating primitives. The Amber runtime bridges
-// these to its RuntimeObserver / metrics registry; the hooks cost nothing
-// when no observer is installed (a single null check per event site).
-class SchedObserver {
- public:
-  virtual ~SchedObserver() = default;
-  // A fiber was created on `node` and will become ready at `when`.
-  virtual void OnFiberCreate(Time when, NodeId node, const Fiber& f) {}
-  // A fiber left the run queue and starts running; `queue_wait` is the time
-  // it spent ready-but-not-running since it was enqueued.
-  virtual void OnFiberDispatch(Time when, NodeId node, const Fiber& f, Duration queue_wait) {}
-  // A running fiber gave up its processor to wait (Block / migration
-  // departure).
-  virtual void OnFiberBlock(Time when, NodeId node, const Fiber& f) {}
-  // A blocked fiber became runnable again (Wake / migration arrival).
-  // `waker_id` is the fiber id of the party that called Wake (0 when the
-  // wake came from event context — a timer, message delivery, or migration
-  // arrival) and `wake_time` is the waker's clock at the Wake call. Ids are
-  // passed rather than Fiber pointers because the waker may have exited —
-  // and its record been reclaimed — by the time the wake is delivered.
-  virtual void OnFiberUnblock(Time when, NodeId node, const Fiber& f, uint64_t waker_id,
-                              Time wake_time) {}
-  // A running fiber was requeued involuntarily (quantum expiry, move-time
-  // preemption) or yielded.
-  virtual void OnFiberPreempt(Time when, NodeId node, const Fiber& f) {}
-  virtual void OnFiberExit(Time when, NodeId node, const Fiber& f) {}
-};
 
 class Kernel {
  public:
@@ -99,9 +71,29 @@ class Kernel {
   // (§3.5) lives here.
   void SetResumeHook(std::function<void(Fiber*)> hook) { resume_hook_ = std::move(hook); }
 
-  // Attaches a scheduling-event observer (nullptr detaches). Guarded at
-  // every emission site, so the cost is zero when none is attached.
-  void SetSchedObserver(SchedObserver* observer) { sched_observer_ = observer; }
+  // --- Event bus ---------------------------------------------------------------
+
+  // The one ordered observer list every layer emits into (amber::Runtime's
+  // AddObserver/RemoveObserver forward here). Events reach observers in
+  // attach order; removing one does not change what the others see.
+  void AddObserver(amber::RuntimeObserver* observer);
+  void RemoveObserver(amber::RuntimeObserver* observer);
+  bool observed() const { return !observers_.empty(); }
+
+  // Delivers one event to every attached observer, e.g.
+  // Emit(&amber::RuntimeObserver::OnThreadBlock, when, node, id). With none
+  // attached this is one branch; otherwise the fan-out is timed into the
+  // self-profiler's observer_fanout bucket.
+  template <typename... Params, typename... Args>
+  void Emit(void (amber::RuntimeObserver::*event)(Params...), const Args&... args) {
+    if (observers_.empty()) {
+      return;
+    }
+    telemetry::ScopedWallTimer fanout(telemetry::Bucket::kObserverFanout);
+    for (amber::RuntimeObserver* o : observers_) {
+      (o->*event)(args...);
+    }
+  }
 
   // --- Fiber-facing primitives (call only from fiber context) --------------
 
@@ -248,7 +240,7 @@ class Kernel {
   Fiber* current_ = nullptr;
   Context kernel_ctx_;
   std::function<void(Fiber*)> resume_hook_;
-  SchedObserver* sched_observer_ = nullptr;
+  std::vector<amber::RuntimeObserver*> observers_;  // attach (= delivery) order
   uint64_t next_fiber_id_ = 1;
   int live_fibers_ = 0;
   uint64_t dispatches_ = 0;

@@ -1,9 +1,10 @@
 #include "src/telemetry/telemetry.h"
 
 #include <cstdio>
-#include <fstream>
 #include <limits>
 #include <sstream>
+
+#include "src/base/json.h"
 
 #if defined(__GLIBC__) && defined(__GLIBC_PREREQ)
 #if __GLIBC_PREREQ(2, 33)
@@ -228,18 +229,8 @@ void SelfProfiler::WriteOpenMetrics(std::ostream& out) const {
 }
 
 bool SelfProfiler::FlushTo(const std::string& path) const {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) {
-      return false;
-    }
-    WriteJson(out, /*scrub_wall=*/false);
-    if (!out.good()) {
-      return false;
-    }
-  }
-  return std::rename(tmp.c_str(), path.c_str()) == 0;
+  return amber::json::WriteFileAtomically(
+      path, [this](std::ostream& out) { WriteJson(out, /*scrub_wall=*/false); });
 }
 
 }  // namespace telemetry

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <map>
 
+#include "src/base/json.h"
+
 namespace trace {
 namespace {
 
@@ -64,20 +66,7 @@ const char* KindName(EventKind kind) {
   return "?";
 }
 
-// Minimal JSON string escaping (labels are runtime-generated, but be safe).
-std::string Escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-    }
-    if (static_cast<unsigned char>(c) >= 0x20) {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
+using amber::json::Escape;
 
 double Us(Time t) { return static_cast<double>(t) / 1000.0; }
 

@@ -27,8 +27,8 @@
 //   * instants for moves, replica installs and lock/condition activity;
 //   * process_name metadata naming each node.
 //
-// Attach with Runtime::SetObserver(&tracer) — or alongside other observers
-// with Runtime::AddObserver(&tracer) — before Run().
+// Attach with Runtime::AddObserver(&tracer), alone or alongside other
+// observers, before Run().
 
 #ifndef AMBER_SRC_TRACE_TRACE_H_
 #define AMBER_SRC_TRACE_TRACE_H_

@@ -1,41 +1,12 @@
 #include "src/tseries/tseries.h"
 
-#include <cinttypes>
-#include <cmath>
-#include <cstdio>
-#include <fstream>
+#include "src/base/json.h"
 
 namespace tseries {
 namespace {
 
-// JSON number rendering, same contract as the metrics registry: integral
-// values print exactly, everything else %.9g — deterministic functions of
-// the value's bit pattern.
-std::string Num(double v) {
-  char buf[40];
-  if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 9.0e15) {
-    std::snprintf(buf, sizeof(buf), "%" PRId64, static_cast<int64_t>(v));
-  } else if (std::isfinite(v)) {
-    std::snprintf(buf, sizeof(buf), "%.9g", v);
-  } else {
-    std::snprintf(buf, sizeof(buf), "0");  // JSON has no inf/nan
-  }
-  return buf;
-}
-
-std::string Quote(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-    }
-    if (static_cast<unsigned char>(c) >= 0x20) {
-      out.push_back(c);
-    }
-  }
-  out.push_back('"');
-  return out;
-}
+using amber::json::Num;
+using amber::json::Quote;
 
 std::string SeriesKey(const std::string& name, const std::string& label) {
   return label == "total" ? name : name + "/" + label;
@@ -336,18 +307,7 @@ void Collector::WriteJson(std::ostream& out) const {
 }
 
 bool Collector::FlushTo(const std::string& path) const {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp);
-    if (!out) {
-      return false;
-    }
-    WriteJson(out);
-    if (!out.good()) {
-      return false;
-    }
-  }
-  return std::rename(tmp.c_str(), path.c_str()) == 0;
+  return amber::json::WriteFileAtomically(path, [this](std::ostream& out) { WriteJson(out); });
 }
 
 }  // namespace tseries

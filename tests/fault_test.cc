@@ -78,7 +78,7 @@ std::string RunAndCapture(const fault::FaultPlan& plan) {
   metrics::Registry metrics;
   trace::Tracer tracer;
   rt.SetMetrics(&metrics);
-  rt.SetObserver(&tracer);
+  rt.AddObserver(&tracer);
   rt.SetFaultInjector(&injector);
   rt.SetFailureHandler([](const FailureEvent&) { return FailureAction::kRetry; });
   rt.Run([] { ChattyWorkload(); });

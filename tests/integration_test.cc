@@ -75,7 +75,7 @@ TEST(IntegrationTest, ShardedComputationWithPlacementAndTrace) {
   config.arena_bytes = size_t{256} << 20;
   Runtime rt(config);
   trace::Tracer tracer;
-  rt.SetObserver(&tracer);
+  rt.AddObserver(&tracer);
 
   constexpr int kShards = 8;
   constexpr int kItemsPerShard = 50;

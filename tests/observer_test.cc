@@ -123,7 +123,7 @@ void RunScenario(Runtime& rt) {
 TEST(ObserverTest, ExactWorkerEventSequence) {
   Runtime rt(TestConfig());
   Recorder rec;
-  rt.SetObserver(&rec);
+  rt.AddObserver(&rec);
   RunScenario(rt);
   // The worker is created on node 0, dispatched, migrates to the Thing on
   // node 1 (block at departure, unblock at arrival), is dispatched there,
@@ -137,7 +137,7 @@ TEST(ObserverTest, SequencesAreDeterministic) {
   auto once = [] {
     Runtime rt(TestConfig());
     Recorder rec;
-    rt.SetObserver(&rec);
+    rt.AddObserver(&rec);
     RunScenario(rt);
     return rec.Dump();
   };
@@ -149,7 +149,7 @@ TEST(ObserverTest, SequencesAreDeterministic) {
 TEST(ObserverTest, LifecyclePairingAndSpanNesting) {
   Runtime rt(TestConfig());
   Recorder rec;
-  rt.SetObserver(&rec);
+  rt.AddObserver(&rec);
   rt.Run([&] {
     auto a = NewOn<Thing>(1);
     auto b = New<Thing>();
@@ -212,7 +212,7 @@ TEST(ObserverTest, ObserverDoesNotChangeVirtualTime) {
   auto run = [](RuntimeObserver* obs) {
     Runtime rt(TestConfig());
     if (obs != nullptr) {
-      rt.SetObserver(obs);
+      rt.AddObserver(obs);
     }
     Time end = 0;
     rt.Run([&] {

@@ -113,7 +113,7 @@ TEST(PolicyHotspotTest, EnabledRunsAreSeedDeterministic) {
     metrics::Registry metrics;
     trace::Tracer tracer;
     rt.SetMetrics(&metrics);
-    rt.SetObserver(&tracer);
+    rt.AddObserver(&tracer);
     policy::PolicyConfig pc;
     pc.enabled = true;
     policy::PlacementPolicy policy(pc);
@@ -182,7 +182,7 @@ TEST(PolicyChaosTest, StaysStableUnderLossyPlanAndPiggybacksOnHeartbeats) {
     metrics::Registry metrics;
     trace::Tracer tracer;
     rt.SetMetrics(&metrics);
-    rt.SetObserver(&tracer);
+    rt.AddObserver(&tracer);
     rt.SetFaultInjector(&injector);  // creates the membership service...
     rt.SetFailureHandler([](const FailureEvent&) { return FailureAction::kRetry; });
     policy::PolicyConfig pc;
@@ -235,7 +235,7 @@ TEST(PolicyDisabledTest, AttachedButDisabledPolicyIsByteInert) {
   auto capture = [&](policy::PlacementPolicy* policy) {
     Runtime rt(TestConfig());
     trace::Tracer tracer;
-    rt.SetObserver(&tracer);
+    rt.AddObserver(&tracer);
     if (policy != nullptr) {
       policy->AttachTo(rt);
     }

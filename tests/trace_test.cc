@@ -40,7 +40,7 @@ int CountKind(const Tracer& tracer, EventKind kind) {
 TEST(TraceTest, CapturesMoveMigrationAndMessages) {
   Runtime rt(TestConfig());
   Tracer tracer;
-  rt.SetObserver(&tracer);
+  rt.AddObserver(&tracer);
   rt.Run([&] {
     auto thing = New<Thing>();
     MoveTo(thing, 2);                      // one object move
@@ -66,7 +66,7 @@ TEST(TraceTest, CapturesMoveMigrationAndMessages) {
 TEST(TraceTest, CapturesReplicaInstalls) {
   Runtime rt(TestConfig());
   Tracer tracer;
-  rt.SetObserver(&tracer);
+  rt.AddObserver(&tracer);
   rt.Run([&] {
     auto thing = New<Thing>();
     MakeImmutable(thing);
@@ -78,7 +78,7 @@ TEST(TraceTest, CapturesReplicaInstalls) {
 TEST(TraceTest, ChromeTraceIsWellFormedJson) {
   Runtime rt(TestConfig());
   Tracer tracer;
-  rt.SetObserver(&tracer);
+  rt.AddObserver(&tracer);
   rt.Run([&] {
     auto thing = New<Thing>();
     MoveTo(thing, 1);
@@ -101,7 +101,7 @@ TEST(TraceTest, ChromeTraceIsWellFormedJson) {
 TEST(TraceTest, TextTimelineListsEvents) {
   Runtime rt(TestConfig());
   Tracer tracer;
-  rt.SetObserver(&tracer);
+  rt.AddObserver(&tracer);
   rt.Run([&] {
     auto thing = New<Thing>();
     MoveTo(thing, 2);
@@ -116,7 +116,7 @@ TEST(TraceTest, DeterministicTraces) {
   auto once = [] {
     Runtime rt(TestConfig());
     Tracer tracer;
-    rt.SetObserver(&tracer);
+    rt.AddObserver(&tracer);
     rt.Run([&] {
       auto thing = New<Thing>();
       MoveTo(thing, 1);
@@ -133,8 +133,8 @@ TEST(TraceTest, DeterministicTraces) {
 TEST(TraceTest, DetachStopsRecording) {
   Runtime rt(TestConfig());
   Tracer tracer;
-  rt.SetObserver(&tracer);
-  rt.SetObserver(nullptr);
+  rt.AddObserver(&tracer);
+  rt.RemoveObserver(&tracer);
   rt.Run([&] {
     auto thing = New<Thing>();
     MoveTo(thing, 1);
