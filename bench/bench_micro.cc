@@ -5,6 +5,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <memory>
 #include <vector>
 
@@ -52,33 +53,108 @@ BENCHMARK(BM_ContextSwitch);
 
 // --- Event queue ---------------------------------------------------------------
 
+// The kernel's regime: 512 pending events (scale's lockstep population) and
+// 40-byte captures, the size of the kernel's processor-release closure.
+// Smaller captures on a shallow queue stay in L1 and time a regime the
+// simulator never runs in.
+constexpr int kQueueDepth = 512;
+
+struct Capture40 {
+  int64_t* sink;
+  uint64_t a;
+  uint64_t b;
+  uint64_t c;
+  uint64_t d;
+  void operator()() const { *sink += static_cast<int64_t>(a ^ b ^ c ^ d); }
+};
+static_assert(sizeof(Capture40) == 40);
+
+// One Post + RunOne at a steady depth, posting at random offsets ahead.
 void BM_EventQueuePostRun(benchmark::State& state) {
   sim::EventQueue q;
   int64_t sink = 0;
-  amber::Time t = 0;
+  amber::Rng rng(1);
+  auto post = [&] {
+    const uint64_t r = rng.Next();
+    q.Post(q.now() + static_cast<amber::Duration>(r % 4096),
+           Capture40{&sink, r, r >> 7, r >> 13, r >> 19});
+  };
+  for (int i = 0; i < kQueueDepth; ++i) {
+    post();
+  }
   for (auto _ : state) {
-    q.Post(++t, [&sink] { ++sink; });
+    post();
     q.RunOne();
   }
   benchmark::DoNotOptimize(sink);
 }
 BENCHMARK(BM_EventQueuePostRun);
 
-void BM_EventQueueDepth1000(benchmark::State& state) {
+// Drains a queue of kQueueDepth events; reports time per event.
+void BM_EventQueueDrain512(benchmark::State& state) {
   int64_t sink = 0;
+  sim::EventQueue q;
   for (auto _ : state) {
     state.PauseTiming();
-    sim::EventQueue q;
-    for (int i = 0; i < 1000; ++i) {
-      q.Post(1000 - i, [&sink] { ++sink; });
+    const amber::Time base = q.now();
+    for (int i = 0; i < kQueueDepth; ++i) {
+      const auto u = static_cast<uint64_t>(i);
+      q.Post(base + kQueueDepth - i, Capture40{&sink, u, u << 3, u << 5, u << 7});
     }
     state.ResumeTiming();
     while (q.RunOne()) {
     }
   }
   benchmark::DoNotOptimize(sink);
+  state.SetItemsProcessed(state.iterations() * kQueueDepth);
 }
-BENCHMARK(BM_EventQueueDepth1000);
+BENCHMARK(BM_EventQueueDrain512);
+
+// Kernel::Sync in scale's regime, through a real kernel: 512 single-processor
+// nodes whose fibers loop Charge(1 us) + Sync in lockstep, so each re-entry
+// finds the other nodes' resumes pending at the same time. Reports host ns
+// per Sync (the run's few dispatches and exits included).
+void BM_SyncLockstep(benchmark::State& state) {
+  constexpr int kNodes = 512;
+  constexpr int kSyncsPerFiber = 200;
+  sim::Kernel::Config config;
+  config.nodes = kNodes;
+  config.procs_per_node = 1;
+  sim::StackPool pool(32 * 1024);
+  std::vector<void*> stacks;
+  for (int n = 0; n < kNodes; ++n) {
+    stacks.push_back(pool.Allocate());
+  }
+  int64_t run_ns = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto kernel = std::make_unique<sim::Kernel>(config);
+    for (int n = 0; n < kNodes; ++n) {
+      kernel->Spawn(n, stacks[n], pool.stack_size(), [k = kernel.get()] {
+        for (int i = 0; i < kSyncsPerFiber; ++i) {
+          k->Charge(amber::Micros(1));
+          k->Sync();
+        }
+      });
+    }
+    state.ResumeTiming();
+    const auto start = std::chrono::steady_clock::now();
+    kernel->Run();
+    run_ns += std::chrono::duration_cast<std::chrono::nanoseconds>(
+                  std::chrono::steady_clock::now() - start)
+                  .count();
+    state.PauseTiming();
+    kernel.reset();
+    state.ResumeTiming();
+  }
+  for (void* s : stacks) {
+    pool.Free(s);
+  }
+  const int64_t syncs = state.iterations() * kNodes * kSyncsPerFiber;
+  state.SetItemsProcessed(syncs);
+  state.counters["ns_per_sync"] = static_cast<double>(run_ns) / static_cast<double>(syncs);
+}
+BENCHMARK(BM_SyncLockstep);
 
 // --- Descriptor table -------------------------------------------------------------
 

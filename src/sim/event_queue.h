@@ -1,15 +1,27 @@
 // Discrete-event queue with a virtual clock.
 //
-// Events are closures ordered by (time, sequence-number); the sequence number
-// makes ordering of simultaneous events deterministic (FIFO within a
-// timestamp), which in turn makes every simulation run bit-reproducible.
+// Events are ordered by (time, sequence-number); the sequence number makes
+// ordering of simultaneous events deterministic (FIFO within a timestamp),
+// which in turn makes every simulation run bit-reproducible.
+//
+// The heap holds 24-byte trivially copyable keys {when, seq, payload}. A
+// payload is either a resume target -- a Fiber the kernel switches back
+// into, posted with PostResume -- or the index of a task slot. A task is any
+// callable: a capture of up to kInlineBytes lives in its slot, so once the
+// slab is warm posting and running one allocates nothing; a larger capture
+// costs one allocation. The slab grows in chunks that never move, so a task
+// runs in place even while it posts enough events to grow the slab.
 
 #ifndef AMBER_SRC_SIM_EVENT_QUEUE_H_
 #define AMBER_SRC_SIM_EVENT_QUEUE_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <queue>
+#include <memory>
+#include <new>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/base/panic.h"
@@ -20,12 +32,58 @@ namespace sim {
 using amber::Duration;
 using amber::Time;
 
+class Fiber;
+
 class EventQueue {
  public:
-  // Schedules fn to run at virtual time t. t must not be in the past.
-  void Post(Time t, std::function<void()> fn) {
+  // Capture bytes a task keeps in its slot without allocating.
+  static constexpr size_t kInlineBytes = 56;
+
+  // Runs a popped resume key; the kernel installs one. Posting a resume
+  // without a handler is an error.
+  using ResumeHandler = void (*)(void* ctx, Fiber* target);
+
+  EventQueue() = default;
+  ~EventQueue() {
+    for (const Key& key : heap_) {
+      if ((key.payload & kTaskBit) != 0) {
+        Slot& slot = SlotAt(key.payload >> 1);
+        slot.invoke(slot.storage, /*run=*/false);
+      }
+    }
+  }
+
+  EventQueue(const EventQueue&) = delete;
+  EventQueue& operator=(const EventQueue&) = delete;
+
+  void SetResumeHandler(ResumeHandler handler, void* ctx) {
+    resume_handler_ = handler;
+    resume_ctx_ = ctx;
+  }
+
+  // Schedules fn (any callable) to run at virtual time t. t must not be in
+  // the past.
+  template <typename F>
+  void Post(Time t, F&& fn) {
     AMBER_DCHECK(t >= now_) << "posting event in the past: " << t << " < " << now_;
-    heap_.push(Event{t, next_seq_++, std::move(fn)});
+    using Fn = std::decay_t<F>;
+    const uint64_t index = AllocateSlot();
+    Slot& slot = SlotAt(index);
+    if constexpr (sizeof(Fn) <= kInlineBytes && alignof(Fn) <= alignof(std::max_align_t)) {
+      ::new (static_cast<void*>(slot.storage)) Fn(std::forward<F>(fn));
+      slot.invoke = &InvokeInline<Fn>;
+    } else {
+      ::new (static_cast<void*>(slot.storage)) Fn*(new Fn(std::forward<F>(fn)));
+      slot.invoke = &InvokeBoxed<Fn>;
+    }
+    Push(Key{t, next_seq_++, (index << 1) | kTaskBit});
+  }
+
+  // Schedules the resume handler to run `target` at virtual time t.
+  void PostResume(Time t, Fiber* target) {
+    AMBER_DCHECK(t >= now_) << "posting event in the past: " << t << " < " << now_;
+    AMBER_DCHECK(resume_handler_ != nullptr) << "resume posted without a handler";
+    Push(Key{t, next_seq_++, reinterpret_cast<uint64_t>(target)});
   }
 
   // Runs the earliest pending event, advancing the clock to its timestamp.
@@ -34,13 +92,36 @@ class EventQueue {
     if (heap_.empty()) {
       return false;
     }
-    // Moving the closure out before popping keeps it alive while it runs and
-    // lets it post further events (which may mutate the heap).
-    Event ev = std::move(const_cast<Event&>(heap_.top()));
-    heap_.pop();
-    now_ = ev.when;
-    ev.fn();
+    const Key key = Pop();
+    if ((key.payload & kTaskBit) != 0) {
+      // Chunks never move, so the slot stays put while the task posts more
+      // events; it is recycled only once the task has returned.
+      Slot& slot = SlotAt(key.payload >> 1);
+      slot.invoke(slot.storage, /*run=*/true);
+      free_slots_.push_back(key.payload >> 1);
+    } else {
+      resume_handler_(resume_ctx_, reinterpret_cast<Fiber*>(key.payload));
+    }
     return true;
+  }
+
+  // PostResume(t, target), then: if the earliest pending event is a resume,
+  // removes it and advances the clock to its timestamp as RunOne would, and
+  // returns its target (maybe `target` itself) for the caller to run; it
+  // counts in events_run() like any other event. Otherwise returns nullptr.
+  // A resume that would be the earliest event never enters the heap.
+  Fiber* PostResumeAndTakeNext(Time t, Fiber* target) {
+    AMBER_DCHECK(t >= now_) << "posting event in the past: " << t << " < " << now_;
+    if (heap_.empty() || heap_.front().when > t) {
+      ++next_seq_;
+      now_ = t;
+      return target;
+    }
+    Push(Key{t, next_seq_++, reinterpret_cast<uint64_t>(target)});
+    if ((heap_.front().payload & kTaskBit) != 0) {
+      return nullptr;
+    }
+    return reinterpret_cast<Fiber*>(Pop().payload);
   }
 
   bool Empty() const { return heap_.empty(); }
@@ -52,24 +133,83 @@ class EventQueue {
   // Timestamp of the earliest pending event (queue must be non-empty).
   Time NextTime() const {
     AMBER_DCHECK(!heap_.empty());
-    return heap_.top().when;
+    return heap_.front().when;
   }
 
   uint64_t events_run() const { return next_seq_ - heap_.size(); }
 
  private:
-  struct Event {
+  static constexpr uint64_t kTaskBit = 1;  // Fiber pointers are even
+  static constexpr uint64_t kChunkSlots = 256;
+
+  struct Key {
     Time when;
     uint64_t seq;
-    std::function<void()> fn;
+    uint64_t payload;  // Fiber* of a resume, or (slot index << 1) | kTaskBit
   };
+  static_assert(sizeof(Key) == 24 && std::is_trivially_copyable_v<Key>);
   struct Later {
-    bool operator()(const Event& a, const Event& b) const {
+    bool operator()(const Key& a, const Key& b) const {
       return a.when != b.when ? a.when > b.when : a.seq > b.seq;
     }
   };
 
-  std::priority_queue<Event, std::vector<Event>, Later> heap_;
+  // One cache line: the callable (or a pointer to a boxed one) and the
+  // function that runs and/or destroys it.
+  struct alignas(64) Slot {
+    alignas(std::max_align_t) unsigned char storage[kInlineBytes];
+    void (*invoke)(void* storage, bool run);
+  };
+  static_assert(sizeof(Slot) == 64);
+
+  template <typename Fn>
+  static void InvokeInline(void* storage, bool run) {
+    Fn& fn = *std::launder(static_cast<Fn*>(storage));
+    if (run) {
+      fn();
+    }
+    fn.~Fn();
+  }
+  template <typename Fn>
+  static void InvokeBoxed(void* storage, bool run) {
+    Fn* fn = *std::launder(static_cast<Fn**>(storage));
+    if (run) {
+      (*fn)();
+    }
+    delete fn;
+  }
+
+  void Push(const Key& key) {
+    heap_.push_back(key);
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
+  }
+  Key Pop() {
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    const Key key = heap_.back();
+    heap_.pop_back();
+    now_ = key.when;
+    return key;
+  }
+
+  Slot& SlotAt(uint64_t index) { return chunks_[index / kChunkSlots][index % kChunkSlots]; }
+  uint64_t AllocateSlot() {
+    if (free_slots_.empty()) {
+      const uint64_t base = chunks_.size() * kChunkSlots;
+      chunks_.push_back(std::make_unique_for_overwrite<Slot[]>(kChunkSlots));
+      for (uint64_t i = kChunkSlots; i > 0; --i) {
+        free_slots_.push_back(base + i - 1);
+      }
+    }
+    const uint64_t index = free_slots_.back();
+    free_slots_.pop_back();
+    return index;
+  }
+
+  std::vector<Key> heap_;
+  std::vector<std::unique_ptr<Slot[]>> chunks_;
+  std::vector<uint64_t> free_slots_;  // LIFO, so the warmest slot is reused first
+  ResumeHandler resume_handler_ = nullptr;
+  void* resume_ctx_ = nullptr;
   Time now_ = 0;
   uint64_t next_seq_ = 0;
 };

@@ -74,7 +74,8 @@ class Fiber {
   // triggers the resume hook (Amber's context-switch-in residency check).
   bool involuntary_resume = false;
 
-  int priority = 0;  // consulted by PriorityRunQueue only
+  int priority = 0;         // consulted by PriorityRunQueue only
+  int feedback_level = -1;  // FeedbackRunQueue's level; -1 until first enqueued
 
   // Back-pointer for the embedding runtime (Amber's thread control block).
   void* user_data = nullptr;

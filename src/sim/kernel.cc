@@ -13,6 +13,7 @@ using amber::RuntimeObserver;
 Kernel::Kernel(const Config& config) : cost_(config.cost), procs_per_node_(config.procs_per_node) {
   AMBER_CHECK(config.nodes >= 1);
   AMBER_CHECK(config.procs_per_node >= 1);
+  queue_.SetResumeHandler(&Kernel::ResumeHandler, this);
   nodes_.resize(config.nodes);
   for (auto& node : nodes_) {
     node.procs.resize(config.procs_per_node);
@@ -146,19 +147,72 @@ void Kernel::TryDispatch(NodeId node) {
     if (telemetry::SelfProfiler* prof = telemetry::SelfProfiler::active()) {
       prof->NodeDispatch(node);
     }
-    RunFiberSlice(f);
+    RunFiberSlice(f, node);
+    // A handoff chain runs no event handler, so the state that allowed it
+    // still holds and the loop ends here (the handoff rule, kernel.h).
+    AMBER_DCHECK(!handed_off_ || ns.free_procs.empty() || ns.queue->Empty())
+        << "a fiber handed off while TryDispatch(" << node << ") still had work";
   }
 }
 
-void Kernel::RunFiberSlice(Fiber* f) {
+void Kernel::RunFiberSlice(Fiber* f, NodeId frame_node) {
   current_ = f;
-  if (telemetry::SelfProfiler::active() != nullptr) {
-    telemetry::ScopedWallTimer timer(telemetry::Bucket::kFiberRun);
-    Context::Switch(&kernel_ctx_, &f->ctx);
-  } else {
-    Context::Switch(&kernel_ctx_, &f->ctx);
-  }
+  frame_node_ = frame_node;
+  handed_off_ = false;
+  BeginSliceScope();
+  Context::Switch(&kernel_ctx_, &f->ctx);
+  EndSliceScope();
   current_ = nullptr;
+}
+
+void Kernel::BeginSliceScope() {
+  if (telemetry::SelfProfiler* prof = telemetry::SelfProfiler::active()) {
+    slice_scope_ = prof->BeginScope(telemetry::Bucket::kFiberRun);
+  }
+}
+
+void Kernel::EndSliceScope() {
+  if (slice_scope_ != 0) {
+    if (telemetry::SelfProfiler* prof = telemetry::SelfProfiler::active()) {
+      prof->EndScope(telemetry::Bucket::kFiberRun, slice_scope_);
+    }
+    slice_scope_ = 0;
+  }
+}
+
+void Kernel::ResumeHandler(void* kernel, Fiber* f) {
+  auto* k = static_cast<Kernel*>(kernel);
+  k->StartResume(f);
+  k->RunFiberSlice(f, kNoNode);
+}
+
+void Kernel::StartResume(Fiber* f) {
+  AMBER_DCHECK(f->state == FiberState::kRunning);
+  f->vtime = std::max(f->vtime, queue_.now());
+}
+
+bool Kernel::KernelFrameDone() const {
+  if (frame_node_ == kNoNode) {
+    return true;  // a resume handler: RunFiberSlice is its last statement
+  }
+  const NodeState& ns = nodes_[frame_node_];
+  return ns.free_procs.empty() || ns.queue->Empty();  // TryDispatch's loop exits
+}
+
+void Kernel::HandOff(Fiber* f, Fiber* next, Time finished) {
+  // What the loop would have recorded for the finished event before its
+  // next RunOne, with f's resume still pending.
+  if (loop_prof_ != nullptr) {
+    loop_prof_->OnEventLoopIteration(finished, queue_.Size() + 1);
+  }
+  StartResume(next);
+  handed_off_ = true;
+  EndSliceScope();
+  BeginSliceScope();
+  current_ = next;
+  if (next != f) {
+    Context::Switch(&f->ctx, &next->ctx);
+  }
 }
 
 void Kernel::SwitchToKernel(Fiber* f) { Context::Switch(&f->ctx, &kernel_ctx_); }
@@ -211,7 +265,10 @@ void Kernel::Charge(Duration d) {
       ReleaseProcessorAndMaybeRequeue(f, /*requeue=*/true);
       continue;
     }
-    const Duration slice = f->quantum_end - f->vtime;
+    // A spin can outlast the quantum (SpinResume moves vtime past its
+    // end); the quantum then expires at the first charge boundary, not in
+    // the past.
+    const Duration slice = std::max<Duration>(f->quantum_end - f->vtime, 0);
     if (d < slice) {
       f->vtime += d;
       return;
@@ -242,11 +299,18 @@ void Kernel::Charge(Duration d) {
 void Kernel::Sync() {
   AMBER_DCHECK(current_ != nullptr) << "Sync outside fiber context";
   Fiber* f = current_;
-  queue_.Post(f->vtime, [this, f] {
-    AMBER_DCHECK(f->state == FiberState::kRunning);
-    RunFiberSlice(f);
-  });
-  SwitchToKernel(f);
+  const Time finished = queue_.now();
+  Fiber* next = nullptr;
+  if (KernelFrameDone()) {
+    next = queue_.PostResumeAndTakeNext(f->vtime, f);
+  } else {
+    queue_.PostResume(f->vtime, f);
+  }
+  if (next != nullptr) {
+    HandOff(f, next, finished);
+  } else {
+    SwitchToKernel(f);
+  }
   if (f->preempt_requested) {
     f->preempt_requested = false;
     f->vtime += cost_.preempt_ipi;
@@ -317,10 +381,7 @@ void Kernel::SpinResume(Fiber* f, Time t) {
   AMBER_DCHECK(t >= Now());
   AMBER_DCHECK(f->state == FiberState::kRunning && f->processor >= 0)
       << "SpinResume target is not spinning";
-  Post(t, [this, f] {
-    f->vtime = std::max(f->vtime, queue_.now());
-    RunFiberSlice(f);
-  });
+  queue_.PostResume(t, f);
 }
 
 void Kernel::Exit() {
@@ -408,6 +469,7 @@ Time Kernel::Run() {
   // iteration (consecutive timestamps are differenced, so each iteration's
   // wall cost needs only one NowNs call).
   telemetry::SelfProfiler* prof = telemetry::SelfProfiler::active();
+  loop_prof_ = prof;
   if (prof == nullptr) {
     while (queue_.RunOne()) {
     }
@@ -419,6 +481,7 @@ Time Kernel::Run() {
     }
     prof->SyncLoopClock();
   }
+  loop_prof_ = nullptr;
   if (live_fibers_ > 0) {
     AMBER_LOG(kWarn) << "simulation ended with " << live_fibers_
                      << " live fibers (deadlock or leaked threads)";

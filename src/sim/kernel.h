@@ -16,6 +16,26 @@
 // the interleaving granularity by the scheduling quantum — the same
 // granularity at which a real multiprocessor node would service the §3.5
 // move-time preemption interrupt.
+//
+// Handoff
+// -------
+// Sync() posts a typed resume key for the running fiber, so a re-entry keeps
+// its place in (time, posting) order. It does not always go back to the
+// kernel stack to be run: a Sync may pop the earliest event itself when
+//   (1) that event is a resume (of this fiber or another), and
+//   (2) the kernel frame suspended in kernel_ctx_ would do nothing more
+//       before the loop's next RunOne.
+// Its own resume means the fiber just continues (a resume with nothing
+// ahead of it never enters the heap); another fiber's resume is a direct
+// fiber-to-fiber switch. Popping does what the resume handler would (clock,
+// vtime, current_) and counts as an event like any other.
+// Condition (2) always holds for a frame entered by the resume handler,
+// whose last statement is RunFiberSlice. For TryDispatch(node) it holds
+// exactly when `node` has no free processor or an empty run queue: then its
+// loop ends, and the handler that called TryDispatch ends with it. That
+// state cannot change before the kernel frame resumes, because only event
+// handlers free processors or make fibers ready, and a handoff chain runs
+// no handler -- TryDispatch DCHECKs it.
 
 #ifndef AMBER_SRC_SIM_KERNEL_H_
 #define AMBER_SRC_SIM_KERNEL_H_
@@ -23,6 +43,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/base/stats.h"
@@ -103,7 +124,10 @@ class Kernel {
   void Charge(Duration d);
 
   // Re-enters the fiber through the event queue at its current virtual time.
-  // Establishes an ordered point; see the header comment.
+  // Establishes an ordered point; see the header comment. Every event that
+  // precedes the re-entry in (time, posting) order runs first; the fiber may
+  // then continue in place or be switched into straight from another
+  // fiber's Sync (see Handoff above).
   void Sync();
 
   // Voluntarily yields the processor: requeue on this node and reschedule.
@@ -139,7 +163,11 @@ class Kernel {
 
   // --- Kernel-facing primitives (event handlers or ordered fiber code) -----
 
-  void Post(Time t, std::function<void()> fn) { queue_.Post(t, std::move(fn)); }
+  // Schedules any callable to run in event context at time t (>= now).
+  template <typename F>
+  void Post(Time t, F&& fn) {
+    queue_.Post(t, std::forward<F>(fn));
+  }
 
   // Makes a blocked fiber ready on its current node at time t.
   void Wake(Fiber* f, Time t);
@@ -220,9 +248,23 @@ class Kernel {
 
   void EnqueueReady(Fiber* f, Time t);
   void TryDispatch(NodeId node);
-  // Switches into f until it switches back, timing the slice into the
-  // telemetry fiber_run bucket when a self-profiler is active.
-  void RunFiberSlice(Fiber* f);
+  // Switches into f until the kernel is switched back into. frame_node is
+  // the node whose TryDispatch loop is calling, or kNoNode from the resume
+  // handler (see KernelFrameDone).
+  void RunFiberSlice(Fiber* f, NodeId frame_node);
+  // Time each fiber slice into the telemetry fiber_run bucket when a
+  // self-profiler is active: one call per slice, handoffs included.
+  void BeginSliceScope();
+  void EndSliceScope();
+  // The event queue's handler for resume keys (Sync and SpinResume).
+  static void ResumeHandler(void* kernel, Fiber* f);
+  void StartResume(Fiber* f);
+  // Condition (2) of the handoff rule (header comment).
+  bool KernelFrameDone() const;
+  // Runs the resume of `next`, just taken from the queue in fiber f's Sync,
+  // by continuing in f or switching straight to next. `finished` is the
+  // clock of the event that ended with the take.
+  void HandOff(Fiber* f, Fiber* next, Time finished);
   void ReleaseProcessorAndMaybeRequeue(Fiber* f, bool requeue);
   void SwitchToKernel(Fiber* f);
   void AfterResume(Fiber* f);
@@ -239,6 +281,12 @@ class Kernel {
   size_t dead_fibers_ = 0;  // null holes in fibers_
   Fiber* current_ = nullptr;
   Context kernel_ctx_;
+  // The kernel frame suspended in kernel_ctx_: the node of the TryDispatch
+  // loop that entered the running slice, or kNoNode for the resume handler.
+  NodeId frame_node_ = kNoNode;
+  bool handed_off_ = false;  // a Sync handed off since the frame switched out
+  int64_t slice_scope_ = 0;  // the fiber_run scope's sampled start, or 0
+  telemetry::SelfProfiler* loop_prof_ = nullptr;  // the profiler Run() ticks
   std::function<void(Fiber*)> resume_hook_;
   std::vector<amber::RuntimeObserver*> observers_;  // attach (= delivery) order
   uint64_t next_fiber_id_ = 1;

@@ -8,6 +8,7 @@
 #ifndef AMBER_SRC_SIM_RUN_QUEUE_H_
 #define AMBER_SRC_SIM_RUN_QUEUE_H_
 
+#include <algorithm>
 #include <deque>
 #include <map>
 #include <vector>
@@ -98,12 +99,10 @@ class FeedbackRunQueue : public RunQueue {
   void Enqueue(Fiber* f) override {
     // Involuntary requeues (quantum expiry) arrive with the flag set by the
     // kernel *after* this call, so classify by history: a fiber seen again
-    // without having blocked in between is demoted one level.
-    auto [it, inserted] = level_of_.try_emplace(f, 0);
-    if (!inserted) {
-      it->second = std::min(it->second + 1, static_cast<int>(queues_.size()) - 1);
-    }
-    queues_[static_cast<size_t>(it->second)].push_back(f);
+    // without having blocked in between is demoted one level. The level
+    // lives on the Fiber, so it dies with it.
+    f->feedback_level = std::min(f->feedback_level + 1, static_cast<int>(queues_.size()) - 1);
+    queues_[static_cast<size_t>(f->feedback_level)].push_back(f);
     ++size_;
   }
 
@@ -122,7 +121,7 @@ class FeedbackRunQueue : public RunQueue {
   // A blocked-then-woken fiber signals interactivity: promote to the top.
   // (The kernel calls Enqueue for wakes too; callers wanting the boost use
   // Boost() from a wrapper, or simply rely on demotion being slow.)
-  void Boost(Fiber* f) { level_of_[f] = 0; }
+  void Boost(Fiber* f) { f->feedback_level = 0; }
 
   bool Empty() const override { return size_ == 0; }
   size_t Size() const override { return size_; }
@@ -141,7 +140,6 @@ class FeedbackRunQueue : public RunQueue {
 
  private:
   std::vector<std::deque<Fiber*>> queues_;
-  std::map<Fiber*, int> level_of_;
   size_t size_ = 0;
 };
 

@@ -55,8 +55,8 @@ inline int64_t NowNs() {
 // observer fan-out it contains); the others are nested subsets, so bucket
 // times overlap by design and do not sum to the run's wall time.
 enum class Bucket : int {
-  kEventLoop = 0,      // one EventQueue::RunOne iteration
-  kFiberRun = 1,       // kernel→fiber context switch until the switch back
+  kEventLoop = 0,      // one event: a RunOne iteration or a Sync handoff pop
+  kFiberRun = 1,       // one fiber slice: switch-in until it yields the slice
   kObserverFanout = 2, // RuntimeObserver / metrics bridge emission
   kNetDelivery = 3,    // net::Network delivery closure execution
 };
@@ -132,11 +132,13 @@ class SelfProfiler {
 
   void Add(Count c, int64_t n = 1) { counts_[static_cast<int>(c)] += n; }
 
-  // One event-loop iteration finished with the virtual clock at
-  // `virtual_now_ns` and `queue_depth` events pending. Counts the event,
-  // advances the telescoped loop clock, and feeds the sample ring on its
-  // event-count cadence. Countdown counters (not modulo) keep the per-event
-  // cost to increments and predictable branches.
+  // One event finished with the virtual clock at `virtual_now_ns` and
+  // `queue_depth` events pending. The kernel's loop calls this after each
+  // RunOne; a Sync handoff calls it with the values the loop would have
+  // seen when it takes the next event itself. Counts the event, advances
+  // the telescoped loop clock, and feeds the sample ring on its event-count
+  // cadence. Countdown counters (not modulo) keep the per-event cost to
+  // increments and predictable branches.
   void OnEventLoopIteration(int64_t virtual_now_ns, size_t queue_depth) {
     ++buckets_[static_cast<int>(Bucket::kEventLoop)].calls;
     ++counts_[static_cast<int>(Count::kEvents)];

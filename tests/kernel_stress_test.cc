@@ -1,12 +1,17 @@
 // Property/stress tests for the simulation kernel: a randomized mix of
-// charges, syncs, yields, travels, blocks/wakes and spawns must preserve
-// the kernel's accounting invariants and remain deterministic.
+// charges, syncs, yields, travels, blocks/wakes, self-resumed spins,
+// preemption requests and node crash/restarts must preserve the kernel's
+// accounting invariants, remain deterministic, and reproduce a recorded
+// interleaving exactly.
 
 #include <gtest/gtest.h>
+
+#include <ostream>
 
 #include "src/base/rng.h"
 #include "src/sim/kernel.h"
 #include "src/sim/stack_pool.h"
+#include "src/telemetry/telemetry.h"
 
 namespace sim {
 namespace {
@@ -15,6 +20,20 @@ using amber::Micros;
 using amber::Millis;
 using amber::Time;
 
+// FNV-1a over the bytes of 64-bit words.
+class Fnv1a {
+ public:
+  void Add(uint64_t word) {
+    for (int i = 0; i < 8; ++i) {
+      hash_ = (hash_ ^ ((word >> (8 * i)) & 0xff)) * 0x100000001b3ULL;
+    }
+  }
+  uint64_t hash() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
 struct StressResult {
   Time end_time;
   uint64_t dispatches;
@@ -22,6 +41,9 @@ struct StressResult {
   uint64_t events;
   int64_t actions;
   std::vector<amber::Duration> busy;
+  // (fiber id, node, vtime) at every ordered point in execution order, then
+  // the end time and the event, dispatch and preemption counts.
+  uint64_t trace_hash;
 };
 
 StressResult RunStress(uint64_t seed, int fibers, int nodes, int procs) {
@@ -33,30 +55,42 @@ StressResult RunStress(uint64_t seed, int fibers, int nodes, int procs) {
   StackPool pool(64 * 1024);
   StressResult result{};
 
+  Fnv1a trace;
+  // Called only at ordered points, so the fold order is the event order.
+  auto mark = [&kernel, &trace] {
+    trace.Add(kernel.current()->id);
+    trace.Add(static_cast<uint64_t>(kernel.current()->node));
+    trace.Add(static_cast<uint64_t>(kernel.Now()));
+  };
   std::vector<void*> stacks;
   for (int i = 0; i < fibers; ++i) {
     void* stack = pool.Allocate();
     stacks.push_back(stack);
-    kernel.Spawn(i % nodes, stack, pool.stack_size(), [&kernel, &result, seed, i, nodes] {
+    kernel.Spawn(i % nodes, stack, pool.stack_size(), [&kernel, &result, &mark, seed, i, nodes] {
       amber::Rng rng(seed * 1315423911u + static_cast<uint64_t>(i));
+      mark();
       for (int step = 0; step < 60; ++step) {
         ++result.actions;
-        switch (rng.Below(6)) {
+        switch (rng.Below(9)) {
           case 0:
           case 1:
             kernel.Charge(Micros(static_cast<double>(50 + rng.Below(400))));
             break;
           case 2:
             kernel.Sync();
+            mark();
             break;
           case 3:
             kernel.Yield();
+            mark();
             break;
           case 4: {
             kernel.Sync();
+            mark();
             const NodeId dst = static_cast<NodeId>(rng.Below(static_cast<uint64_t>(nodes)));
             if (dst != kernel.current()->node) {
               kernel.TravelTo(dst, kernel.Now() + Micros(200));
+              mark();
             }
             break;
           }
@@ -66,9 +100,40 @@ StressResult RunStress(uint64_t seed, int fibers, int nodes, int procs) {
             // parker here could strand if it parks after all potential
             // wakers have finished.)
             kernel.Sync();
+            mark();
             kernel.Wake(kernel.current(), kernel.Now() + Micros(static_cast<double>(
                                               100 + rng.Below(900))));
             kernel.Block();
+            mark();
+            break;
+          }
+          case 6: {
+            // Self-resumed spin: the processor stays busy until an event
+            // posted by the spinner itself resumes it.
+            kernel.Sync();
+            mark();
+            Fiber* self = kernel.current();
+            const Time t = kernel.Now() + Micros(static_cast<double>(20 + rng.Below(300)));
+            kernel.Post(t, [&kernel, self, t] { kernel.SpinResume(self, t); });
+            kernel.SpinWait();
+            mark();
+            break;
+          }
+          case 7:
+            kernel.Sync();
+            mark();
+            kernel.RequestPreempt(static_cast<NodeId>(rng.Below(static_cast<uint64_t>(nodes))));
+            break;
+          case 8: {
+            // Crash a random node and restart it later: the restart's
+            // TryDispatch fills every processor from the parked fibers in
+            // one loop.
+            kernel.Sync();
+            mark();
+            const NodeId node = static_cast<NodeId>(rng.Below(static_cast<uint64_t>(nodes)));
+            kernel.SetNodeUp(node, false);
+            kernel.Post(kernel.Now() + Micros(static_cast<double>(100 + rng.Below(500))),
+                        [&kernel, node] { kernel.SetNodeUp(node, true); });
             break;
           }
         }
@@ -86,6 +151,11 @@ StressResult RunStress(uint64_t seed, int fibers, int nodes, int procs) {
   for (void* s : stacks) {
     pool.Free(s);
   }
+  trace.Add(static_cast<uint64_t>(result.end_time));
+  trace.Add(result.events);
+  trace.Add(result.dispatches);
+  trace.Add(result.preemptions);
+  result.trace_hash = trace.hash();
   return result;
 }
 
@@ -115,6 +185,61 @@ TEST_P(KernelStress, BitIdenticalReruns) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, KernelStress,
                          ::testing::Values(0x1uLL, 0x7uLL, 0x2AuLL, 0xFEEDuLL, 0xC0FFEEuLL));
+
+// Recorded from the previous engine, which ran every event and every
+// re-entry from the kernel stack out of a heap of std::function closures
+// (with Charge's clamp for a spin that outlasts its quantum applied): an
+// engine that reorders a single event, or drops or adds one, changes the
+// hash. Each seed runs 24 fibers on 4 nodes with 1, 2 and 4 processors per
+// node.
+struct Golden {
+  uint64_t seed;
+  uint64_t trace_hash;      // the three runs' trace hashes, folded
+  int64_t fiber_run_calls;  // telemetry fiber_run calls over the three runs
+};
+constexpr Golden kGolden[] = {
+    {0x1uLL, 0x1e3a0dbfd3de7fbauLL, 5555},
+    {0x7uLL, 0xda5e885161ff6808uLL, 5294},
+    {0x2AuLL, 0xd87675cec90a3208uLL, 5340},
+    {0xFEEDuLL, 0x677d176a317ab96cuLL, 5412},
+    {0xC0FFEEuLL, 0xfdc66b4dd341e68euLL, 5405},
+};
+
+void PrintTo(const Golden& golden, std::ostream* os) {
+  *os << "seed 0x" << std::hex << golden.seed;
+}
+
+class KernelGolden : public ::testing::TestWithParam<Golden> {};
+
+TEST_P(KernelGolden, InterleavingMatchesRecording) {
+  const Golden& golden = GetParam();
+  Fnv1a plain;
+  Fnv1a profiled;
+  int64_t fiber_run_calls = 0;
+  for (int procs : {1, 2, 4}) {
+    plain.Add(RunStress(golden.seed, /*fibers=*/24, /*nodes=*/4, procs).trace_hash);
+    // The self-profiler must see every event and one fiber_run call per
+    // fiber slice without changing what runs.
+    telemetry::SelfProfiler prof(telemetry::SelfProfiler::Config{});
+    prof.Enable();
+    const StressResult r = RunStress(golden.seed, 24, 4, procs);
+    prof.Disable();
+    profiled.Add(r.trace_hash);
+    EXPECT_EQ(prof.count(telemetry::Count::kEvents), static_cast<int64_t>(r.events))
+        << "procs=" << procs;
+    EXPECT_EQ(prof.bucket_calls(telemetry::Bucket::kEventLoop), static_cast<int64_t>(r.events))
+        << "procs=" << procs;
+    EXPECT_EQ(prof.count(telemetry::Count::kDispatches), static_cast<int64_t>(r.dispatches))
+        << "procs=" << procs;
+    fiber_run_calls += prof.bucket_calls(telemetry::Bucket::kFiberRun);
+  }
+  EXPECT_EQ(plain.hash(), golden.trace_hash)
+      << std::hex << "seed 0x" << golden.seed << ": trace hash 0x" << plain.hash();
+  EXPECT_EQ(profiled.hash(), plain.hash()) << "the self-profiler changed the interleaving";
+  EXPECT_EQ(fiber_run_calls, golden.fiber_run_calls);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, KernelGolden, ::testing::ValuesIn(kGolden));
 
 }  // namespace
 }  // namespace sim

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
+
 #include "src/base/time.h"
 #include "src/sim/cost_model.h"
 #include "src/sim/kernel.h"
@@ -154,6 +157,26 @@ TEST(RunQueueTest, FeedbackDemotesRepeatOffenders) {
   q.Enqueue(&hog);  // boosted: re-enqueued at level... demoted from 0 to 1
   q.Enqueue(&fresh);
   EXPECT_EQ(q.Dequeue(), &hog) << "boost resets the hog's level";
+}
+
+TEST(RunQueueTest, FeedbackLevelDiesWithTheFiber) {
+  FeedbackRunQueue q(3);
+  auto hog = std::make_unique<Fiber>();
+  const auto hog_address = reinterpret_cast<uintptr_t>(hog.get());
+  for (int i = 0; i < 3; ++i) {  // three quanta: demoted to the bottom level
+    q.Enqueue(hog.get());
+    ASSERT_EQ(q.Dequeue(), hog.get());
+  }
+  hog.reset();
+  auto reborn = std::make_unique<Fiber>();
+  if (reinterpret_cast<uintptr_t>(reborn.get()) != hog_address) {
+    GTEST_SKIP() << "the allocator did not hand the dead fiber's address back";
+  }
+  Fiber fresh;
+  q.Enqueue(reborn.get());
+  q.Enqueue(&fresh);
+  EXPECT_EQ(q.Dequeue(), reborn.get()) << "a new fiber inherited a dead fiber's demotion";
+  EXPECT_EQ(q.Dequeue(), &fresh);
 }
 
 TEST(RunQueueTest, FeedbackKeepsInteractiveLatencyLow) {
