@@ -23,6 +23,7 @@
 #include <cstring>
 #include <deque>
 #include <fstream>
+#include <iostream>
 #include <string>
 #include <vector>
 
@@ -470,6 +471,7 @@ int main() {
 
   prof::ProfileReport report = profiler.Finalize();
   report.name = "chaos";
+  report.WriteSummary(std::cout);
   std::ofstream prof_out("PROF_chaos.json");
   report.WriteJson(prof_out);
   std::printf("wrote PROF_chaos.json (fault share of critical path: %.1f%%)\n",

@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <iostream>
 #include <string>
 
 #include "bench/bench_util.h"
@@ -119,6 +120,7 @@ int main() {
 
     prof::ProfileReport report = profiler.Finalize();
     report.name = "fig2";
+    report.WriteSummary(std::cout);
     std::ofstream prof_out("PROF_fig2.json");
     report.WriteJson(prof_out);
     std::printf("wrote PROF_fig2.json (critical path: %zu steps)\n",

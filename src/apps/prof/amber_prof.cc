@@ -12,16 +12,16 @@
 // Scenarios:
 //   serial        single node, single processor: pure compute; the critical
 //                 path is the run (sanity baseline)
-//   fig2          the paper's headline 8Nx4P Red/Black SOR solve
 //   lock-convoy   four nodes hammering one lock-protected object
-//   chaos         quarter-scale SOR under the standard lossy fault plan
-//                 (seed 42) with a mid-solve node crash
 //   hotspot       an object placed on node 0 but invoked almost entirely
 //                 from node 2 — the advisor recommends MoveTo(2)
 //   hotspot-moved the same workload with the recommended MoveTo applied:
 //                 reported virtual time drops
 //
-// With no arguments every scenario runs, in the order above.
+// With no arguments every scenario runs, in the order above. The paper's
+// SOR runs are profiled by the benches whose reports are gated: bench_fig2
+// and bench_chaos print the summary and write PROF_fig2.json and
+// PROF_chaos.json.
 
 #include <cstdio>
 #include <cstring>
@@ -30,9 +30,7 @@
 #include <string>
 #include <vector>
 
-#include "src/apps/sor/sor.h"
 #include "src/core/amber.h"
-#include "src/fault/fault.h"
 #include "src/policy/policy.h"
 #include "src/prof/profiler.h"
 
@@ -138,21 +136,6 @@ void RunSerial() {
   Emit(profiler, "serial", end);
 }
 
-void RunFig2() {
-  sor::Params params;  // the paper's problem: 122 x 842, 8 sections
-  params.max_iterations = 100;
-  params.tolerance = 0.0;
-  amber::Runtime::Config config;
-  config.nodes = 8;
-  config.procs_per_node = 4;
-  config.arena_bytes = size_t{1} << 30;
-  amber::Runtime rt(config);
-  prof::Profiler profiler;
-  rt.AddObserver(&profiler);
-  sor::RunAmber(rt, params);
-  Emit(profiler, "fig2", 0);
-}
-
 void RunLockConvoy() {
   constexpr int kNodes = 4;
   constexpr int kRounds = 16;
@@ -178,56 +161,6 @@ void RunLockConvoy() {
     }
   });
   Emit(profiler, "lock_convoy", end);
-}
-
-void RunChaos() {
-  constexpr int kNodes = 4;
-  constexpr uint64_t kSeed = 42;
-  sor::Params params;  // quarter-scale Figure-2 problem (as bench_chaos)
-  params.rows = 62;
-  params.cols = 210;
-  params.sections = 4;
-  params.max_iterations = 30;
-  params.tolerance = 0.0;
-
-  // Clean run sizes the fault plan (crash inside the solve), as bench_chaos.
-  amber::Time clean_end = 0;
-  {
-    amber::Runtime::Config config;
-    config.nodes = kNodes;
-    config.procs_per_node = 2;
-    config.arena_bytes = size_t{512} << 20;
-    amber::Runtime rt(config);
-    clean_end = sor::RunAmber(rt, params).solve_time;
-  }
-
-  fault::FaultPlan plan;
-  plan.seed = kSeed;
-  fault::LinkRule rule;
-  rule.drop = 0.05;
-  rule.duplicate = 0.02;
-  rule.delay = 0.05;
-  rule.delay_min = amber::Micros(100);
-  rule.delay_max = amber::Millis(1);
-  plan.links.push_back(rule);
-  fault::NodeEvent ev;
-  ev.node = kNodes - 1;
-  ev.crash_at = clean_end / 4;
-  ev.restart_at = clean_end / 2;
-  plan.node_events.push_back(ev);
-
-  amber::Runtime::Config config;
-  config.nodes = kNodes;
-  config.procs_per_node = 2;
-  config.arena_bytes = size_t{512} << 20;
-  amber::Runtime rt(config);
-  fault::Injector injector(plan);
-  rt.SetFaultInjector(&injector);
-  rt.SetFailureHandler([](const amber::FailureEvent&) { return amber::FailureAction::kRetry; });
-  prof::Profiler profiler;
-  rt.AddObserver(&profiler);
-  sor::RunAmber(rt, params);
-  Emit(profiler, "chaos", 0);
 }
 
 // The placement-advice demo. `moved` applies the advisor's recommendation
@@ -277,9 +210,7 @@ struct Scenario {
 
 const Scenario kScenarios[] = {
     {"serial", RunSerial},
-    {"fig2", RunFig2},
     {"lock-convoy", RunLockConvoy},
-    {"chaos", RunChaos},
     {"hotspot", RunHotspotPair},
 };
 

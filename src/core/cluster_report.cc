@@ -6,28 +6,11 @@
 #include "src/metrics/metrics.h"
 
 namespace amber {
-namespace {
-
-// Migration count for one matrix cell. With a metrics registry attached the
-// cell comes from the registry's "amber.migration.matrix" family (published
-// at the end of Run); otherwise from the runtime's live counters.
-int64_t MatrixCell(Runtime& rt, const metrics::Registry::CounterFamily* matrix, NodeId s,
-                   NodeId d) {
-  if (matrix != nullptr) {
-    auto it = matrix->find(metrics::Registry::LinkLabel(s, d));
-    return it != matrix->end() ? it->second.value() : 0;
-  }
-  return rt.MigrationCount(s, d);
-}
-
-}  // namespace
 
 std::string ClusterReport(Runtime& rt, Time elapsed) {
   std::ostringstream out;
   char buf[160];
   const metrics::Registry* reg = rt.metrics();
-  const metrics::Registry::CounterFamily* matrix =
-      reg != nullptr ? reg->FindCounters("amber.migration.matrix") : nullptr;
   std::snprintf(buf, sizeof(buf), "cluster report (%d nodes x %d CPUs, %.2f ms virtual)\n",
                 rt.nodes(), rt.procs_per_node(), ToMillis(elapsed));
   out << buf;
@@ -38,7 +21,7 @@ std::string ClusterReport(Runtime& rt, Time elapsed) {
   for (NodeId n = 0; n < rt.nodes(); ++n) {
     int64_t out_migrations = 0;
     for (NodeId d = 0; d < rt.nodes(); ++d) {
-      out_migrations += MatrixCell(rt, matrix, n, d);
+      out_migrations += rt.MigrationCount(n, d);
     }
     const double util =
         capacity > 0 ? 100.0 * static_cast<double>(rt.sim().NodeBusyTime(n)) / capacity : 0.0;
@@ -60,7 +43,7 @@ std::string ClusterReport(Runtime& rt, Time elapsed) {
       out << buf;
       for (NodeId d = 0; d < rt.nodes(); ++d) {
         std::snprintf(buf, sizeof(buf), "%6lld",
-                      static_cast<long long>(MatrixCell(rt, matrix, s, d)));
+                      static_cast<long long>(rt.MigrationCount(s, d)));
         out << buf;
       }
       out << "\n";

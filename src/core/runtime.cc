@@ -49,6 +49,12 @@ constexpr int64_t kHintUpdateBytes = 32;
 // Per-object descriptor/bookkeeping bytes added to a move's bulk payload.
 constexpr int64_t kPerObjectMoveOverhead = 32;
 
+// One object's share of a move's bulk payload.
+int64_t MoveBytes(const Object* o) {
+  return static_cast<int64_t>(o->amber_header().size) + o->AmberPayloadBytes() +
+         kPerObjectMoveOverhead;
+}
+
 }  // namespace
 
 // The registry's observer on the event bus. SetMetrics attaches one per
@@ -540,9 +546,7 @@ Status Runtime::TravelThread(NodeId dst, int64_t extra_bytes) {
   // The thread object travels with the thread: forward at the source,
   // resident at the destination. (Descriptors flip at departure; see
   // DESIGN.md on the in-flight window.)
-  tables_[static_cast<size_t>(src)]->SetForward(t, dst);
-  tables_[static_cast<size_t>(dst)]->SetResident(t);
-  t->header_.owner = dst;
+  FlipDescriptors(t, src, dst);
   const int64_t payload = ThreadPayloadBytes() + extra_bytes;
   const Time depart = sim_->Now();
   // Fault-injected run: the migration can fail (dst dead or partitioned away
@@ -552,9 +556,7 @@ Status Runtime::TravelThread(NodeId dst, int64_t extra_bytes) {
   // announced at departure instead, before it travels.
   const bool reliable = rpc_->reliability_enabled();
   if (reliable && rpc_->Travel(dst, payload).status != rpc::SendStatus::kOk) {
-    tables_[static_cast<size_t>(dst)]->SetForward(t, src);
-    tables_[static_cast<size_t>(src)]->SetResident(t);
-    t->header_.owner = src;
+    FlipDescriptors(t, dst, src);
     return Status::kUnreachable;
   }
   ++thread_migrations_;
@@ -693,30 +695,19 @@ NodeId Runtime::ResolveLocation(Object* obj) {
       target = d.forward;
       continue;
     }
-    bool found = false;
-    NodeId next = kNoNode;
-    const NodeId probe = target;
-    const rpc::RoundtripResult rr =
-        rpc_->Roundtrip(probe, kControlBytes, [this, obj, probe, &found, &next]() -> int64_t {
-          const Descriptor dd = tables_[static_cast<size_t>(probe)]->Lookup(obj);
-          if (dd.state == Residency::kResident) {
-            found = true;
-          } else if (dd.state == Residency::kRemoteHint ||
-                     (dd.state == Residency::kReplica && dd.forward != kNoNode)) {
-            next = dd.forward;
-          } else {
-            next = gas_->HomeOf(obj);
-          }
-          return kControlBytes;
-        });
-    if (rr.status != rpc::SendStatus::kOk) {
+    Descriptor dd;
+    if (!ProbeDescriptor(obj, target, 0, &dd)) {
       return kNoNode;  // probe unreachable (fault-injected runs only)
     }
-    if (found) {
+    if (dd.state == Residency::kResident) {
       break;
     }
+    const NodeId next = dd.state == Residency::kRemoteHint ||
+                                (dd.state == Residency::kReplica && dd.forward != kNoNode)
+                            ? dd.forward
+                            : gas_->HomeOf(obj);
     AMBER_CHECK(next != kNoNode);
-    visited.push_back(probe);
+    visited.push_back(target);
     target = next;
   }
   // Path compaction for the nodes we probed. A node holding a replica keeps
@@ -749,7 +740,7 @@ NodeId Runtime::BroadcastLocate(Object* obj) {
     // budget on each. A dead-but-not-yet-suspected peer still costs one
     // probe, but the transport's own suspicion check cuts that short as
     // soon as the lease runs out mid-probe.
-    if (membership_ != nullptr && membership_->Suspects(cur, n)) {
+    if (Suspects(cur, n)) {
       continue;
     }
     bool resident = false;
@@ -791,12 +782,30 @@ void Runtime::HandleUnreachable(Object* obj, NodeId node, int attempts) {
   // kRetry (or an unrecoverable object under kRecover): back off one
   // retransmission-timeout before re-probing, so a crashed node gets a
   // chance to restart (or a partition to heal).
+  BackOff(rpc_->retry_policy().timeout_cap);
+}
+
+void Runtime::BackOff(Duration timeout) {
   sim::Fiber* self = sim_->current();
-  const Duration backoff = rpc_->retry_policy().timeout_cap;
-  const Time resume = sim_->Now() + backoff;
-  sim_->Emit(&RuntimeObserver::OnFailureBackoff, sim_->Now(), here(), self->id, backoff);
-  sim_->Post(resume, [this, self] { sim_->Wake(self, sim_->Now()); });
+  const Time now = sim_->Now();
+  sim_->Emit(&RuntimeObserver::OnFailureBackoff, now, here(), self->id, timeout);
+  sim_->Post(now + timeout, [this, self] { sim_->Wake(self, sim_->Now()); });
   sim_->Block();
+}
+
+bool Runtime::Suspects(NodeId by, NodeId peer) const {
+  return membership_ != nullptr && membership_->Suspects(by, peer);
+}
+
+bool Runtime::ProbeDescriptor(Object* obj, NodeId node, int64_t held_reply_bytes,
+                              Descriptor* out) {
+  const rpc::RoundtripResult rr = rpc_->Roundtrip(
+      node, kControlBytes, [this, obj, node, held_reply_bytes, out]() -> int64_t {
+        *out = tables_[static_cast<size_t>(node)]->Lookup(obj);
+        const bool held = out->state == Residency::kResident || out->state == Residency::kReplica;
+        return held ? kControlBytes + held_reply_bytes : kControlBytes;
+      });
+  return rr.status == rpc::SendStatus::kOk;
 }
 
 Status Runtime::FetchReplica(Object* obj, NodeId from) {
@@ -810,28 +819,16 @@ Status Runtime::FetchReplica(Object* obj, NodeId from) {
   for (;;) {
     AMBER_CHECK(++hops <= 2 * nodes() + 4) << "replica fetch chain did not terminate";
     AMBER_LOG(kTrace) << "FetchReplica: " << obj << " probe " << target;
-    bool found = false;
-    NodeId next = kNoNode;
-    const NodeId probe = target;
-    const rpc::RoundtripResult rr =
-        rpc_->Roundtrip(probe, kControlBytes,
-                        [this, obj, probe, obj_bytes, &found, &next]() -> int64_t {
-                          const Descriptor dd = tables_[static_cast<size_t>(probe)]->Lookup(obj);
-                          if (dd.state == Residency::kResident || dd.state == Residency::kReplica) {
-                            found = true;
-                            return kControlBytes + obj_bytes;  // reply carries the object
-                          }
-                          next = dd.state == Residency::kRemoteHint ? dd.forward
-                                                                    : gas_->HomeOf(obj);
-                          return kControlBytes;
-                        });
-    if (rr.status != rpc::SendStatus::kOk) {
+    // A holder's reply carries the object.
+    Descriptor dd;
+    if (!ProbeDescriptor(obj, target, obj_bytes, &dd)) {
       return Status::kUnreachable;  // holder unreachable (fault-injected runs)
     }
-    if (found) {
+    if (dd.state == Residency::kResident || dd.state == Residency::kReplica) {
       break;
     }
-    AMBER_CHECK(next != kNoNode && next != probe);
+    const NodeId next = dd.state == Residency::kRemoteHint ? dd.forward : gas_->HomeOf(obj);
+    AMBER_CHECK(next != kNoNode && next != target);
     target = next;
   }
   // Unmarshal locally (the real copy through a wire buffer).
@@ -844,11 +841,15 @@ Status Runtime::FetchReplica(Object* obj, NodeId from) {
   // the replica supersedes it.
   const Residency st = tables_[static_cast<size_t>(cur)]->Lookup(obj).state;
   if (st != Residency::kReplica && st != Residency::kResident) {
-    tables_[static_cast<size_t>(cur)]->SetReplica(obj, target != cur ? target : kNoNode);
-    ++replicas_installed_;
-    sim_->Emit(&RuntimeObserver::OnReplicaInstall, sim_->Now(), obj, cur);
+    InstallReplica(obj, cur, target != cur ? target : kNoNode, sim_->Now());
   }
   return Status::kOk;
+}
+
+void Runtime::InstallReplica(Object* obj, NodeId at, NodeId source, Time when) {
+  tables_[static_cast<size_t>(at)]->SetReplica(obj, source);
+  ++replicas_installed_;
+  sim_->Emit(&RuntimeObserver::OnReplicaInstall, when, obj, at);
 }
 
 // --- Mobility -----------------------------------------------------------------------
@@ -865,21 +866,23 @@ int64_t Runtime::ClosureBytes(Object* obj) {
   CollectClosure(obj->AmberPrimary(), &closure);
   int64_t total = 0;
   for (Object* o : closure) {
-    total += static_cast<int64_t>(o->header_.size) + o->AmberPayloadBytes() +
-             kPerObjectMoveOverhead;
+    total += MoveBytes(o);
   }
   return total;
+}
+
+void Runtime::FlipDescriptors(Object* o, NodeId from, NodeId to) {
+  tables_[static_cast<size_t>(from)]->SetForward(o, to);
+  tables_[static_cast<size_t>(to)]->SetResident(o);
+  o->header_.owner = to;
 }
 
 int64_t Runtime::FlipDescriptorsForMove(const std::vector<Object*>& closure, NodeId src,
                                         NodeId dst) {
   int64_t total = 0;
   for (Object* o : closure) {
-    tables_[static_cast<size_t>(src)]->SetForward(o, dst);
-    tables_[static_cast<size_t>(dst)]->SetResident(o);
-    o->header_.owner = dst;
-    total += static_cast<int64_t>(o->header_.size) + o->AmberPayloadBytes() +
-             kPerObjectMoveOverhead;
+    FlipDescriptors(o, src, dst);
+    total += MoveBytes(o);
   }
   return total;
 }
@@ -926,7 +929,7 @@ Status Runtime::MoveTo(Object* obj, NodeId dst) {
     if (owner == dst) {
       return Status::kOk;
     }
-    if (membership_ != nullptr && membership_->Suspects(here(), dst)) {
+    if (Suspects(here(), dst)) {
       return Status::kUnreachable;  // destination's heartbeat lease expired
     }
     if (owner == here()) {
@@ -1001,38 +1004,23 @@ Status Runtime::MoveOutLocal(Object* obj, NodeId dst) {
   const int64_t total = FlipDescriptorsForMove(closure, src, dst);
   sim_->RequestPreempt(src);
   SerializeClosure(closure);
-  // SendBulk charges this thread for marshalling the payload, then occupies
-  // the wire; install completes after the destination's install cost.
-  sim::Fiber* self = sim_->current();
-  if (rpc_->reliability_enabled()) {
-    const net::TxResult tx = rpc_->SendBulkTracked(dst, total, nullptr);
-    if (!tx.delivered) {
-      // The transfer was lost (destination crashed or link cut). Restore the
-      // closure at the source — the speculative resident entries at dst
-      // become correct dst->src hints — and surface the detection latency as
-      // one retransmission-timeout of blocking (the bulk protocol's ack
-      // timer).
-      for (Object* o : closure) {
-        tables_[static_cast<size_t>(dst)]->SetForward(o, src);
-        tables_[static_cast<size_t>(src)]->SetResident(o);
-        o->header_.owner = src;
-      }
-      const Duration ack_timeout = rpc_->retry_policy().timeout;
-      const Time give_up = sim_->Now() + ack_timeout;
-      sim_->Emit(&RuntimeObserver::OnFailureBackoff, sim_->Now(), src, self->id, ack_timeout);
-      sim_->Post(give_up, [this, self] { sim_->Wake(self, sim_->Now()); });
-      sim_->Block();
-      return Status::kUnreachable;
+  // The bulk send charges this thread for marshalling the payload, then
+  // occupies the wire; install completes after the destination's install cost.
+  const net::TxResult tx = rpc_->SendBulkTracked(dst, total, nullptr);
+  if (!tx.delivered) {
+    // The transfer was lost (destination crashed or link cut). Restore the
+    // closure at the source — the speculative resident entries at dst
+    // become correct dst->src hints — and surface the detection latency as
+    // one retransmission-timeout of blocking (the bulk protocol's ack
+    // timer).
+    for (Object* o : closure) {
+      FlipDescriptors(o, dst, src);
     }
-    const Time installed = tx.arrival + cost().move_install;
-    sim_->Wake(self, installed);
-    sim_->Block();
-  } else {
-    const Time arrive = rpc_->SendBulk(dst, total, nullptr);
-    const Time installed = arrive + cost().move_install;
-    sim_->Wake(self, installed);
-    sim_->Block();
+    BackOff(rpc_->retry_policy().timeout);
+    return Status::kUnreachable;
   }
+  sim_->Wake(sim_->current(), tx.arrival + cost().move_install);
+  sim_->Block();
   ++objects_moved_;
   sim_->Emit(&RuntimeObserver::OnObjectMove, sim_->Now(), obj, src, dst, total);
   RecordMove(move_start, total);
@@ -1047,10 +1035,49 @@ void Runtime::RecordMove(Time start, int64_t bytes) {
   }
 }
 
+net::TxResult Runtime::ShipClosure(Object* obj, NodeId owner, NodeId dst, int64_t* bytes) {
+  std::vector<Object*> closure;
+  CollectClosure(obj, &closure);
+  *bytes = FlipDescriptorsForMove(closure, owner, dst);
+  sim_->RequestPreempt(owner);
+  SerializeClosure(closure);
+  const Time depart =
+      sim_->Now() + cost().move_setup + cost().MarshalCost(*bytes) + cost().rpc_send_software;
+  net::TxResult tx = net_->SendBulkTracked(owner, dst, *bytes, depart, nullptr);
+  if (!tx.delivered) {
+    // Transfer lost: the object never left. Flip back.
+    for (Object* o : closure) {
+      FlipDescriptors(o, dst, owner);
+    }
+  }
+  tx.arrival += cost().move_install;
+  return tx;
+}
+
+net::TxResult Runtime::ShipReplica(Object* obj, NodeId holder, NodeId dst) {
+  SerializeClosure({obj});
+  const int64_t obj_bytes = static_cast<int64_t>(obj->header_.size);
+  const Time depart = sim_->Now() + cost().MarshalCost(obj_bytes) + cost().rpc_send_software;
+  net::TxResult tx = net_->SendBulkTracked(holder, dst, obj_bytes, depart, nullptr);
+  tx.arrival += cost().move_install;
+  if (tx.delivered) {
+    InstallReplica(obj, dst, holder, tx.arrival);
+  }
+  return tx;
+}
+
+void Runtime::AckInstall(sim::Fiber* requester, NodeId requester_node, NodeId dst,
+                         Time installed) {
+  if (dst == requester_node) {
+    sim_->Wake(requester, installed);
+  } else {
+    sim_->Wake(requester, net_->Send(dst, requester_node, kControlBytes, installed));
+  }
+}
+
 Status Runtime::RequestRemoteMove(Object* obj, NodeId owner, NodeId dst, bool* accepted_out) {
   const NodeId cur = here();
   AMBER_CHECK(owner != cur);
-  sim::Fiber* self = sim_->current();
   const Time move_start = sim_->Now();
   int64_t moved_bytes = 0;
   bool accepted = false;
@@ -1062,90 +1089,49 @@ Status Runtime::RequestRemoteMove(Object* obj, NodeId owner, NodeId dst, bool* a
     // folded into the control reply (oracle shortcut, see docs/FAULTS.md).
     const rpc::RoundtripResult rr = rpc_->Roundtrip(
         owner, kControlBytes, [this, obj, owner, dst, &accepted, &moved_bytes]() -> int64_t {
-          if (!tables_[static_cast<size_t>(owner)]->IsResident(obj)) {
-            return kControlBytes;  // the object moved on; NACK
+          // A NACK when the object moved on or the transfer was lost.
+          if (tables_[static_cast<size_t>(owner)]->IsResident(obj) &&
+              ShipClosure(obj, owner, dst, &moved_bytes).delivered) {
+            accepted = true;
+            ++objects_moved_;
+            sim_->Emit(&RuntimeObserver::OnObjectMove, sim_->Now(), obj, owner, dst, moved_bytes);
           }
-          std::vector<Object*> closure;
-          CollectClosure(obj, &closure);
-          const int64_t total = FlipDescriptorsForMove(closure, owner, dst);
-          sim_->RequestPreempt(owner);
-          SerializeClosure(closure);
-          const Time depart = sim_->Now() + cost().move_setup + cost().MarshalCost(total) +
-                              cost().rpc_send_software;
-          const net::TxResult tx = net_->SendBulkTracked(owner, dst, total, depart, nullptr);
-          if (!tx.delivered) {
-            // Transfer lost: the object never left. Flip back.
-            for (Object* o : closure) {
-              tables_[static_cast<size_t>(dst)]->SetForward(o, owner);
-              tables_[static_cast<size_t>(owner)]->SetResident(o);
-              o->header_.owner = owner;
-            }
-            return kControlBytes;
-          }
-          accepted = true;
-          moved_bytes = total;
-          ++objects_moved_;
-          sim_->Emit(&RuntimeObserver::OnObjectMove, sim_->Now(), obj, owner, dst, total);
           return kControlBytes;
         });
-    if (rr.status != rpc::SendStatus::kOk) {
-      if (accepted) {
-        // The owner committed the move (descriptors flipped, transfer
-        // delivered) but every reply copy was lost: a lost ack, not a lost
-        // move. The in-simulator flag is the oracle; it is stable here
-        // because the transport cancels the roundtrip on give-up, so the
-        // service can no longer run after this point.
-        RecordMove(move_start, moved_bytes);
-        MaybeRecheckpoint(obj);
-        *accepted_out = true;
-        return Status::kOk;
-      }
+    // A failed roundtrip after the owner committed the move (descriptors
+    // flipped, transfer delivered) lost every reply copy: a lost ack, not a
+    // lost move. The in-simulator flag is the oracle; it is stable here
+    // because the transport cancels the roundtrip on give-up, so the service
+    // can no longer run after this point.
+    if (rr.status != rpc::SendStatus::kOk && !accepted) {
       *accepted_out = false;
       return Status::kUnreachable;  // owner unreachable
     }
-    if (accepted) {
-      RecordMove(move_start, moved_bytes);
-      MaybeRecheckpoint(obj);
-    }
-    *accepted_out = accepted;
-    return Status::kOk;
+  } else {
+    // Charge the request like any control send, then run the source side of
+    // the move at the owner (event context, latency model), then block until
+    // the destination's install acknowledgement.
+    sim::Fiber* self = sim_->current();
+    sim_->Charge(cost().MarshalCost(kControlBytes) + cost().rpc_send_software);
+    sim_->Sync();
+    net_->Send(cur, owner, kControlBytes, sim_->Now(),
+               [this, obj, owner, dst, cur, self, &accepted, &moved_bytes] {
+                 if (!tables_[static_cast<size_t>(owner)]->IsResident(obj)) {
+                   // The object moved on; NACK so the requester re-resolves.
+                   sim_->Wake(self, net_->Send(owner, cur, kControlBytes, sim_->Now()));
+                   return;
+                 }
+                 accepted = true;
+                 AckInstall(self, cur, dst, ShipClosure(obj, owner, dst, &moved_bytes).arrival);
+                 ++objects_moved_;
+                 sim_->Emit(&RuntimeObserver::OnObjectMove, sim_->Now(), obj, owner, dst,
+                            moved_bytes);
+               });
+    sim_->Block();
   }
-  // Charge the request like any control send, then run the source side of
-  // the move at the owner (event context, latency model), then block until
-  // the destination's install acknowledgement.
-  sim_->Charge(cost().MarshalCost(kControlBytes) + cost().rpc_send_software);
-  sim_->Sync();
-  net_->Send(cur, owner, kControlBytes, sim_->Now(), [this, obj, owner, dst, cur, self, &accepted,
-                                                      &moved_bytes] {
-    if (!tables_[static_cast<size_t>(owner)]->IsResident(obj)) {
-      // The object moved on; NACK so the requester re-resolves.
-      const Time back = net_->Send(owner, cur, kControlBytes, sim_->Now());
-      sim_->Wake(self, back);
-      return;
-    }
-    accepted = true;
-    std::vector<Object*> closure;
-    CollectClosure(obj, &closure);
-    const int64_t total = FlipDescriptorsForMove(closure, owner, dst);
-    moved_bytes = total;
-    sim_->RequestPreempt(owner);
-    SerializeClosure(closure);
-    const Time depart =
-        sim_->Now() + cost().move_setup + cost().MarshalCost(total) + cost().rpc_send_software;
-    const Time arrive = net_->SendBulk(owner, dst, total, depart, nullptr);
-    const Time installed = arrive + cost().move_install;
-    if (dst == cur) {
-      sim_->Wake(self, installed);
-    } else {
-      const Time ack = net_->Send(dst, cur, kControlBytes, installed);
-      sim_->Wake(self, ack);
-    }
-    ++objects_moved_;
-    sim_->Emit(&RuntimeObserver::OnObjectMove, sim_->Now(), obj, owner, dst, total);
-  });
-  sim_->Block();
   if (accepted) {
     RecordMove(move_start, moved_bytes);
+    MaybeRecheckpoint(obj);
   }
   *accepted_out = accepted;
   return Status::kOk;
@@ -1156,41 +1142,23 @@ Status Runtime::ReplicateTo(Object* obj, NodeId dst) {
     return Status::kOk;  // dst already holds the object or a replica
   }
   const NodeId cur = here();
-  const int64_t obj_bytes = static_cast<int64_t>(obj->header_.size);
-  sim::Fiber* self = sim_->current();
-  const bool faulty = rpc_->reliability_enabled();
-  if (membership_ != nullptr && membership_->Suspects(cur, dst)) {
+  if (Suspects(cur, dst)) {
     return Status::kUnreachable;  // destination's heartbeat lease expired
   }
   if (tables_[static_cast<size_t>(cur)]->Lookup(obj).state != Residency::kUninitialized &&
       dst != cur) {
     // We hold the bytes: bulk-copy them to dst and install a replica.
     SerializeClosure({obj});
-    if (faulty) {
-      const net::TxResult tx = rpc_->SendBulkTracked(dst, obj_bytes, nullptr);
-      if (!tx.delivered) {
-        // Copy lost; dst never saw it. Ride out the ack timeout, report.
-        const Duration ack_timeout = rpc_->retry_policy().timeout;
-        const Time give_up = sim_->Now() + ack_timeout;
-        sim_->Emit(&RuntimeObserver::OnFailureBackoff, sim_->Now(), cur, self->id, ack_timeout);
-        sim_->Post(give_up, [this, self] { sim_->Wake(self, sim_->Now()); });
-        sim_->Block();
-        return Status::kUnreachable;
-      }
-      const Time installed = tx.arrival + cost().move_install;
-      tables_[static_cast<size_t>(dst)]->SetReplica(obj, cur);
-      ++replicas_installed_;
-      sim_->Emit(&RuntimeObserver::OnReplicaInstall, installed, obj, dst);
-      sim_->Wake(self, installed);
-      sim_->Block();
-      return Status::kOk;
+    const net::TxResult tx =
+        rpc_->SendBulkTracked(dst, static_cast<int64_t>(obj->header_.size), nullptr);
+    if (!tx.delivered) {
+      // Copy lost; dst never saw it. Ride out the ack timeout, report.
+      BackOff(rpc_->retry_policy().timeout);
+      return Status::kUnreachable;
     }
-    const Time arrive = rpc_->SendBulk(dst, obj_bytes, nullptr);
-    const Time installed = arrive + cost().move_install;
-    tables_[static_cast<size_t>(dst)]->SetReplica(obj, cur);
-    ++replicas_installed_;
-    sim_->Emit(&RuntimeObserver::OnReplicaInstall, installed, obj, dst);
-    sim_->Wake(self, installed);
+    const Time installed = tx.arrival + cost().move_install;
+    InstallReplica(obj, dst, cur, installed);
+    sim_->Wake(sim_->current(), installed);
     sim_->Block();
     return Status::kOk;
   }
@@ -1202,47 +1170,23 @@ Status Runtime::ReplicateTo(Object* obj, NodeId dst) {
   if (holder == dst) {
     return Status::kOk;
   }
-  if (faulty) {
+  if (rpc_->reliability_enabled()) {
     // Reliable control roundtrip to the holder; the holder-side copy to dst
     // is tracked and only installs the replica when it actually arrives.
-    bool installed_ok = false;
+    bool installed = false;
     const rpc::RoundtripResult rr = rpc_->Roundtrip(
-        holder, kControlBytes, [this, obj, holder, dst, obj_bytes, &installed_ok]() -> int64_t {
-          SerializeClosure({obj});
-          const Time depart =
-              sim_->Now() + cost().MarshalCost(obj_bytes) + cost().rpc_send_software;
-          const net::TxResult tx = net_->SendBulkTracked(holder, dst, obj_bytes, depart, nullptr);
-          if (tx.delivered) {
-            const Time installed = tx.arrival + cost().move_install;
-            tables_[static_cast<size_t>(dst)]->SetReplica(obj, holder);
-            ++replicas_installed_;
-            installed_ok = true;
-            sim_->Emit(&RuntimeObserver::OnReplicaInstall, installed, obj, dst);
-          }
+        holder, kControlBytes, [this, obj, holder, dst, &installed]() -> int64_t {
+          installed = ShipReplica(obj, holder, dst).delivered;
           return kControlBytes;
         });
-    if (rr.status != rpc::SendStatus::kOk) {
-      return Status::kUnreachable;
-    }
-    return installed_ok ? Status::kOk : Status::kUnreachable;
+    return rr.status == rpc::SendStatus::kOk && installed ? Status::kOk : Status::kUnreachable;
   }
+  // A control datagram to the holder; dst acks the install.
+  sim::Fiber* self = sim_->current();
   sim_->Charge(cost().MarshalCost(kControlBytes) + cost().rpc_send_software);
   sim_->Sync();
-  net_->Send(cur, holder, kControlBytes, sim_->Now(), [this, obj, holder, dst, cur, self,
-                                                       obj_bytes] {
-    SerializeClosure({obj});
-    const Time depart = sim_->Now() + cost().MarshalCost(obj_bytes) + cost().rpc_send_software;
-    const Time arrive = net_->SendBulk(holder, dst, obj_bytes, depart, nullptr);
-    const Time installed = arrive + cost().move_install;
-    tables_[static_cast<size_t>(dst)]->SetReplica(obj, holder);
-    ++replicas_installed_;
-    sim_->Emit(&RuntimeObserver::OnReplicaInstall, installed, obj, dst);
-    if (dst == cur) {
-      sim_->Wake(self, installed);
-    } else {
-      const Time ack = net_->Send(dst, cur, kControlBytes, installed);
-      sim_->Wake(self, ack);
-    }
+  net_->Send(cur, holder, kControlBytes, sim_->Now(), [this, obj, holder, dst, cur, self] {
+    AckInstall(self, cur, dst, ShipReplica(obj, holder, dst).arrival);
   });
   sim_->Block();
   return Status::kOk;
@@ -1367,7 +1311,7 @@ bool Runtime::CheckpointObject(Object* obj) {
   // lease is intact — deterministic given the suspicion state.
   NodeId buddy = kNoNode;
   for (NodeId n = 0; n < nodes(); ++n) {
-    if (n == owner || (membership_ != nullptr && membership_->Suspects(cur, n))) {
+    if (n == owner || Suspects(cur, n)) {
       continue;
     }
     buddy = n;
@@ -1432,26 +1376,16 @@ bool Runtime::RecoverImmutable(Object* obj, NodeId node) {
   // order for a surviving copy; the lowest holder becomes the new home.
   // Every recovering thread runs the same scan and picks the same winner.
   for (NodeId n = 0; n < nodes(); ++n) {
-    if (n == node || n == dead ||
-        (membership_ != nullptr && membership_->Suspects(cur, n))) {
+    if (n == node || n == dead || Suspects(cur, n)) {
       continue;
     }
-    bool holds = false;
+    Descriptor d;
     if (n == cur) {
-      const Residency st = tables_[static_cast<size_t>(cur)]->Lookup(obj).state;
-      holds = st == Residency::kReplica || st == Residency::kResident;
-    } else {
-      const rpc::RoundtripResult rr =
-          rpc_->Roundtrip(n, kControlBytes, [this, obj, n, &holds]() -> int64_t {
-            const Residency st = tables_[static_cast<size_t>(n)]->Lookup(obj).state;
-            holds = st == Residency::kReplica || st == Residency::kResident;
-            return kControlBytes;
-          });
-      if (rr.status != rpc::SendStatus::kOk) {
-        continue;  // this candidate is unreachable too; keep scanning
-      }
+      d = tables_[static_cast<size_t>(cur)]->Lookup(obj);
+    } else if (!ProbeDescriptor(obj, n, 0, &d)) {
+      continue;  // this candidate is unreachable too; keep scanning
     }
-    if (!holds) {
+    if (d.state != Residency::kReplica && d.state != Residency::kResident) {
       continue;
     }
     sim_->Sync();
@@ -1476,8 +1410,7 @@ bool Runtime::RecoverMutable(Object* obj, NodeId node) {
   const NodeId cur = here();
   const NodeId dead = obj->header_.owner;
   const NodeId buddy = it->second.buddy;
-  if (buddy == kNoNode || buddy == node || buddy == dead ||
-      (membership_ != nullptr && membership_->Suspects(cur, buddy))) {
+  if (buddy == kNoNode || buddy == node || buddy == dead || Suspects(cur, buddy)) {
     return false;  // the checkpoint died with its holder
   }
   // Restore at the buddy. Idempotent: the restore runs only while the
@@ -1530,7 +1463,7 @@ int Runtime::DrainNode(NodeId node) {
   // Evacuation targets: every other node whose heartbeat lease is intact.
   std::vector<NodeId> targets;
   for (NodeId n = 0; n < nodes(); ++n) {
-    if (n == node || (membership_ != nullptr && membership_->Suspects(cur, n))) {
+    if (n == node || Suspects(cur, n)) {
       continue;
     }
     targets.push_back(n);
@@ -1562,9 +1495,7 @@ int Runtime::DrainNode(NodeId node) {
       s = ReplicateTo(obj, dst);
       if (s == Status::kOk) {
         sim_->Sync();
-        tables_[static_cast<size_t>(dst)]->SetResident(obj);
-        obj->header_.owner = dst;
-        tables_[static_cast<size_t>(node)]->SetForward(obj, dst);
+        FlipDescriptors(obj, node, dst);
       }
     } else {
       s = MoveTo(obj, dst);
@@ -1828,7 +1759,7 @@ void Runtime::SetFaultInjector(fault::Injector* injector) {
           [this](Time when, NodeId by, NodeId peer) { OnPeerTrusted(when, by, peer); });
       membership_->Start();
       rpc_->SetSuspicionOracle(
-          [this](NodeId src, NodeId dst) { return membership_->Suspects(src, dst); });
+          [this](NodeId src, NodeId dst) { return Suspects(src, dst); });
       injector_->SetNodeEventHandler(
           [this](Time when, NodeId node, bool up) { OnNodeEvent(when, node, up); });
     }

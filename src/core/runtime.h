@@ -408,6 +408,17 @@ class Runtime {
   // recovery attempt (kRecover; an unrecoverable object degrades to the
   // kRetry backoff so the caller re-probes).
   void HandleUnreachable(Object* obj, NodeId node, int attempts);
+  // Blocks the calling thread for `timeout` (a failure backoff or a lost
+  // transfer's ack timer), announced as OnFailureBackoff.
+  void BackOff(Duration timeout);
+  // Whether `by`'s membership view suspects `peer` (false without an active
+  // fault plan).
+  bool Suspects(NodeId by, NodeId peer) const;
+  // Reads `node`'s descriptor of obj into *out with a control roundtrip from
+  // the calling thread; the reply carries `held_reply_bytes` more when the
+  // node holds the bytes (resident or replica). False when `node` is
+  // unreachable (fault-injected runs only).
+  bool ProbeDescriptor(Object* obj, NodeId node, int64_t held_reply_bytes, Descriptor* out);
 
   // --- Crash recovery internals (docs/FAULTS.md) -----------------------------
 
@@ -439,6 +450,8 @@ class Runtime {
   // Fetches a replica of immutable obj from `from` (following the chain with
   // further roundtrips if stale) and installs it locally.
   Status FetchReplica(Object* obj, NodeId from);
+  // Marks a replica of obj at `at`, copied from `source`, installed at `when`.
+  void InstallReplica(Object* obj, NodeId at, NodeId source, Time when);
 
   // Migrates the calling thread to dst carrying its state + extra payload.
   // kUnreachable means the thread never left (descriptors reverted).
@@ -451,6 +464,20 @@ class Runtime {
   // context, latency model). *accepted=false with kOk means the object had
   // moved on and the caller should re-resolve.
   Status RequestRemoteMove(Object* obj, NodeId owner, NodeId dst, bool* accepted);
+  // Owner side of a remote move (event context at `owner`): flips obj's
+  // closure to dst, preempts the owner's processors, serializes, and sends
+  // the tracked bulk transfer at now + setup + marshal + send software; a
+  // lost transfer flips the closure back. Sets *bytes to the payload and
+  // returns the outcome, its arrival advanced to the install time at dst.
+  net::TxResult ShipClosure(Object* obj, NodeId owner, NodeId dst, int64_t* bytes);
+  // Holder side of a remote replicate (event context at `holder`): copies
+  // obj to dst at now + marshal + send software and installs the replica
+  // if the copy arrives. Returns the outcome, arrival as in ShipClosure.
+  net::TxResult ShipReplica(Object* obj, NodeId holder, NodeId dst);
+  // Lossless protocols: wakes `requester` (blocked on `requester_node`) once
+  // dst has installed at `installed` — directly when dst is the requester's
+  // node, else when dst's ack frame arrives.
+  void AckInstall(sim::Fiber* requester, NodeId requester_node, NodeId dst, Time installed);
   // Records a landed move's latency since `start` and its payload bytes
   // into the attached registry, if any.
   void RecordMove(Time start, int64_t bytes);
@@ -462,8 +489,11 @@ class Runtime {
   // Collects obj + transitive attachment children.
   void CollectClosure(Object* obj, std::vector<Object*>* out);
 
-  // Flips descriptors for a moving closure at an ordered point: forward at
-  // src, resident at dst, owner updated. Returns total payload bytes.
+  // Moves one object's location from `from` to `to`: forward at `from`,
+  // resident at `to`, owner updated. A move flips this way at departure and
+  // a lost transfer flips back.
+  void FlipDescriptors(Object* o, NodeId from, NodeId to);
+  // Flips a moving closure at an ordered point; returns total payload bytes.
   int64_t FlipDescriptorsForMove(const std::vector<Object*>& closure, NodeId src, NodeId dst);
 
   // Serializes closure contents and returns the checksum (real copy through

@@ -134,11 +134,6 @@ TxResult Network::SendTracked(NodeId src, NodeId dst, int64_t bytes, Time depart
   return TxResult{arrival, delivered};
 }
 
-Time Network::SendBulk(NodeId src, NodeId dst, int64_t bytes, Time depart,
-                       std::function<void()> deliver) {
-  return SendBulkTracked(src, dst, bytes, depart, std::move(deliver)).arrival;
-}
-
 TxResult Network::SendBulkTracked(NodeId src, NodeId dst, int64_t bytes, Time depart,
                                   std::function<void()> deliver) {
   AMBER_DCHECK(bytes >= 0);

@@ -98,12 +98,9 @@ class Network {
                        std::function<void()> deliver = nullptr);
 
   // Transmits a bulk payload as MTU-sized fragments back-to-back on the
-  // medium. Returns delivery-complete time at dst.
-  Time SendBulk(NodeId src, NodeId dst, int64_t bytes, Time depart,
-                std::function<void()> deliver = nullptr);
-
-  // As SendBulk, with the delivery outcome (fault filters drop or delay the
-  // transfer as a unit).
+  // medium. Returns the delivery-complete time at dst and whether the
+  // transfer survived the fault filter, which drops or delays it as a unit
+  // (always delivered with no filter attached).
   TxResult SendBulkTracked(NodeId src, NodeId dst, int64_t bytes, Time depart,
                            std::function<void()> deliver = nullptr);
 

@@ -68,12 +68,6 @@ Time Transport::ChargeSendPath(int64_t payload_bytes) {
   return kernel_->Now();
 }
 
-Time Transport::Send(NodeId dst, int64_t payload_bytes, std::function<void()> deliver) {
-  const NodeId src = kernel_->current()->node;
-  const Time depart = ChargeSendPath(payload_bytes);
-  return net_->Send(src, dst, payload_bytes, depart, std::move(deliver));
-}
-
 RoundtripResult Transport::Roundtrip(NodeId dst, int64_t request_bytes,
                                      std::function<int64_t()> service) {
   if (reliable_) {
@@ -297,12 +291,6 @@ TravelResult Transport::Travel(NodeId dst, int64_t payload_bytes) {
   ++timeouts_;
   kernel_->Emit(&RuntimeObserver::OnRpcTimeout, kernel_->Now(), src, dst, id, sent, f->id);
   return TravelResult{SendStatus::kTimeout, sent};
-}
-
-Time Transport::SendBulk(NodeId dst, int64_t payload_bytes, std::function<void()> deliver) {
-  const NodeId src = kernel_->current()->node;
-  const Time depart = ChargeSendPath(payload_bytes);
-  return net_->SendBulk(src, dst, payload_bytes, depart, std::move(deliver));
 }
 
 net::TxResult Transport::SendBulkTracked(NodeId dst, int64_t payload_bytes,

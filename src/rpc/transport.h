@@ -1,7 +1,8 @@
 // RPC transport: composes fiber CPU charges with network transmission.
 //
-// Three communication shapes cover everything Amber does (§3):
-//   * Send      — one-way control datagram (forwarding updates, acks).
+// Three communication shapes cover what a thread sends (§3); one-way
+// control datagrams (forwarding updates, acks) go straight to
+// net::Network::Send.
 //   * Roundtrip — request/reply with a service routine at the destination
 //                 (Locate queries, address-space-server region requests,
 //                 move-object control). The service runs in event context;
@@ -10,16 +11,20 @@
 //                 message. The current fiber is charged for marshalling its
 //                 payload, then migrates to the destination node, arriving
 //                 after the wire + software path (§3.4 thread migration).
+//   * SendBulkTracked — an object's bytes (move, replica copy): the fiber
+//                 is charged for marshalling, then the payload is fragmented
+//                 onto the wire.
 //
 // Failure semantics (fault-injection runs): with reliability enabled
 // (Transport::EnableReliability), Roundtrip and Travel become
 // sequence-numbered, timeout-protected operations with capped exponential
 // backoff retransmission and receiver-side duplicate suppression. After
 // RetryPolicy::max_attempts the operation returns a typed kTimeout status
-// instead of blocking forever. One-way Send keeps datagram semantics: a
-// dropped frame is simply lost. With reliability disabled (the default),
-// every path is byte-for-byte the original lossless model — no timers are
-// posted and no sequence state is kept.
+// instead of blocking forever. A bulk transfer is not retransmitted: it
+// reports whether it arrived, and callers model the loss as an ack timeout.
+// With reliability disabled (the default), every path is byte-for-byte the
+// original lossless model — no timers are posted and no sequence state is
+// kept.
 
 #ifndef AMBER_SRC_RPC_TRANSPORT_H_
 #define AMBER_SRC_RPC_TRANSPORT_H_
@@ -97,11 +102,6 @@ class Transport {
   Transport(const Transport&) = delete;
   Transport& operator=(const Transport&) = delete;
 
-  // One-way datagram from the current fiber's node. Charges the fiber for
-  // marshal + send software, then transmits. Returns delivery time at dst.
-  // Datagram semantics under faults: a dropped frame is lost, no retry.
-  Time Send(NodeId dst, int64_t payload_bytes, std::function<void()> deliver = nullptr);
-
   // Request/reply. Blocks the calling fiber until the reply (whose size the
   // service returns) arrives back, retrying per the RetryPolicy when
   // reliability is enabled. The service runs at most once per roundtrip:
@@ -116,11 +116,9 @@ class Transport {
   TravelResult Travel(NodeId dst, int64_t payload_bytes);
 
   // Bulk transfer (object move) from the current fiber's node; the fiber is
-  // charged for marshalling. Returns delivery-complete time at dst.
-  Time SendBulk(NodeId dst, int64_t payload_bytes, std::function<void()> deliver = nullptr);
-
-  // As SendBulk, but reports whether the transfer survived fault injection
-  // (the simulator's oracle view; callers model detection as an ack timeout).
+  // charged for marshalling. Returns the delivery-complete time at dst and
+  // whether the transfer survived fault injection (the simulator's oracle
+  // view; callers model detection as an ack timeout).
   net::TxResult SendBulkTracked(NodeId dst, int64_t payload_bytes,
                                 std::function<void()> deliver = nullptr);
 

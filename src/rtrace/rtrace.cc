@@ -40,13 +40,10 @@ const char* SpanKindName(SpanKind kind) {
 
 std::vector<uint8_t> EncodeContext(const TraceContext& ctx) {
   rpc::WireBuffer w;
-  w.PutU8(ctx.has_baggage ? 2 : ctx.version);
+  w.PutU8(ctx.version);
   w.PutU64(ctx.trace_id);
   w.PutU64(ctx.span_id);
   w.PutU8(ctx.flags);
-  if (ctx.has_baggage) {
-    w.PutU64(ctx.baggage);
-  }
   return w.bytes();
 }
 
@@ -57,13 +54,6 @@ TraceContext DecodeContext(const std::vector<uint8_t>& bytes) {
   ctx.trace_id = r.GetU64();
   ctx.span_id = r.GetU64();
   ctx.flags = r.GetU8();
-  // The baggage extension rides after the base frame. A frame from the
-  // future (version > 2) may append further fields after it; everything
-  // past what this decoder understands is deliberately ignored.
-  if (ctx.version >= 2 && r.remaining() >= kBaggageWireBytes) {
-    ctx.has_baggage = true;
-    ctx.baggage = r.GetU64();
-  }
   return ctx;
 }
 
@@ -224,11 +214,6 @@ std::vector<uint8_t> Tracer::ContextFrame(uint64_t requester, NodeId src, NodeId
   tc.trace_id = ctx.trace_id;
   tc.span_id = ctx.span_stack.empty() ? 0 : ctx.span_stack.back();
   tc.flags = kContextFlagSampled;
-  if (config_.wire_baggage) {
-    tc.has_baggage = true;
-    auto trace = traces_.find(ctx.trace_id);
-    tc.baggage = trace != traces_.end() ? static_cast<uint64_t>(trace->second.hops) : 0;
-  }
   return EncodeContext(tc);
 }
 

@@ -18,11 +18,9 @@
 //     of a traced thread's roundtrips and travels (retransmissions
 //     re-carry it) and hands the bytes back at the destination, where the
 //     tracer decodes and validates them (contexts_propagated). The frame
-//     is versioned in the style of the membership heartbeats: a v1 frame
-//     is exactly kContextV1Bytes; v2 appends a baggage word; a decoder
-//     ignores unknown trailing bytes, so frames from the future still
-//     yield their v1 prefix. An untraced request contributes an *empty*
-//     frame — zero bytes, byte-exact wire traffic.
+//     is a fixed kContextV1Bytes carrying a version byte (1), in the style
+//     of the membership heartbeats. An untraced request contributes an
+//     *empty* frame — zero bytes, byte-exact wire traffic.
 //   * Everything the request does is recorded as spans: the root request
 //     span, nested invoke spans, RPC roundtrips (with retransmission
 //     counts; timeouts close the span failed), lock waits, thread
@@ -72,11 +70,8 @@ using amber::Time;
 // --- Wire format --------------------------------------------------------------
 
 // v1 frame: [u8 version][u64 trace_id][u64 span_id][u8 flags] = 18 bytes.
-// v2 appends [u64 baggage] (hop count). Unknown trailing bytes are ignored
-// on decode, mirroring the membership heartbeat's forward compatibility.
 inline constexpr uint8_t kContextVersion = 1;
 inline constexpr size_t kContextV1Bytes = 18;
-inline constexpr size_t kBaggageWireBytes = 8;
 inline constexpr uint8_t kContextFlagSampled = 1;
 
 struct TraceContext {
@@ -84,16 +79,11 @@ struct TraceContext {
   uint64_t trace_id = 0;
   uint64_t span_id = 0;  // the sender's span at transmission time
   uint8_t flags = 0;
-  bool has_baggage = false;  // v2 extension
-  uint64_t baggage = 0;      // wire hop count at transmission
 
   bool sampled() const { return (flags & kContextFlagSampled) != 0; }
 };
 
-// Encodes v1, or v2 when has_baggage is set.
 std::vector<uint8_t> EncodeContext(const TraceContext& ctx);
-// Decodes a v1/v2/future frame; trailing bytes past what this decoder
-// understands are deliberately ignored.
 TraceContext DecodeContext(const std::vector<uint8_t>& bytes);
 
 // --- Spans ---------------------------------------------------------------------
@@ -150,8 +140,6 @@ struct TraceConfig {
   // Completed traces retained; beyond it the oldest-completed is evicted
   // (exemplars normally point at recent traces, so old ones age out first).
   size_t max_traces = 1024;
-  // Send v2 context frames carrying the hop count as baggage. Default v1.
-  bool wire_baggage = false;
 };
 
 class Tracer : public amber::RuntimeObserver, public rpc::TraceHook {

@@ -268,8 +268,6 @@ class Kernel {
   void ReleaseProcessorAndMaybeRequeue(Fiber* f, bool requeue);
   void SwitchToKernel(Fiber* f);
   void AfterResume(Fiber* f);
-  // Preempts the running fiber at its current vtime (requeue + release).
-  void PreemptSelf();
 
   EventQueue queue_;
   CostModel cost_;

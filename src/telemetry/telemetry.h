@@ -124,12 +124,6 @@ class SelfProfiler {
   // counted exactly.
   static constexpr uint32_t kScopeSampleEvery = 32;  // power of two
 
-  void AddBucket(Bucket b, int64_t wall_ns) {
-    BucketAcc& acc = buckets_[static_cast<int>(b)];
-    ++acc.calls;
-    acc.wall_ns += wall_ns;
-  }
-
   void Add(Count c, int64_t n = 1) { counts_[static_cast<int>(c)] += n; }
 
   // One event finished with the virtual clock at `virtual_now_ns` and

@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <sstream>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "src/core/amber.h"
 #include "src/fault/membership.h"
@@ -212,6 +215,133 @@ TEST(FaultStatusTest, MoveAcrossPermanentPartitionFailsTyped) {
     EXPECT_EQ(Locate(c), 0);
     // Unaffected links still work.
     EXPECT_EQ(MoveTo(c, 1), Status::kOk);
+    rt.ValidateLocationInvariants();
+  });
+}
+
+// --- A lost bulk transfer decides the result ---------------------------------
+//
+// Each case crashes node 3 at t=0 for good and aims a MoveTo at it before the
+// heartbeat lease expires, so the destination is not yet suspected and the
+// lost bulk copy, not the suspicion check, produces the status.
+
+// Big enough that its bulk transfer is told apart from every control frame
+// and heartbeat by size alone.
+class Blob : public Object {
+ public:
+  int Get() const { return cells_[0]; }
+
+ private:
+  std::array<int, 512> cells_{};
+};
+
+// Calls MoveTo from the node it lives on.
+class Mover : public Object {
+ public:
+  int MoveAway(Ref<Blob> target, NodeId dst) { return static_cast<int>(MoveTo(target, dst)); }
+};
+
+// Records the failure backoffs and the dropped frames, which show the branch
+// a lost transfer took.
+class LossProbe : public RuntimeObserver {
+ public:
+  void OnFailureBackoff(Time when, NodeId node, ThreadId thread, Duration backoff) override {
+    backoffs.push_back(backoff);
+  }
+  void OnMessageDropped(Time when, NodeId src, NodeId dst, int64_t bytes,
+                        const char* reason) override {
+    drops.emplace_back(src, dst, bytes);
+  }
+  bool Dropped(NodeId src, NodeId dst, int64_t bytes) const {
+    for (const auto& d : drops) {
+      if (d == std::make_tuple(src, dst, bytes)) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  std::vector<Duration> backoffs;
+  std::vector<std::tuple<NodeId, NodeId, int64_t>> drops;
+};
+
+fault::FaultPlan NodeThreeDeadFromStart() {
+  fault::FaultPlan plan;
+  fault::NodeEvent ev;
+  ev.node = 3;
+  ev.crash_at = 0;  // never restarts
+  plan.node_events.push_back(ev);
+  return plan;
+}
+
+TEST(FaultStatusTest, ReplicateFromLocalHolderToDeadNodeIsUnreachable) {
+  Runtime rt(TestConfig());
+  fault::Injector injector(NodeThreeDeadFromStart());
+  rt.SetFaultInjector(&injector);
+  LossProbe probe;
+  rt.AddObserver(&probe);
+  rt.Run([&] {
+    auto c = New<Blob>();
+    MakeImmutable(c);
+    const int64_t bytes = static_cast<int64_t>(c.object()->amber_header().size);
+    const int64_t roundtrips = rt.transport().roundtrips();
+    ASSERT_FALSE(rt.membership()->Suspects(0, 3));
+    EXPECT_EQ(MoveTo(c, 3), Status::kUnreachable);
+    // This node sent the copy itself: no roundtrip, the copy was lost, and
+    // the caller rode out one ack timeout.
+    EXPECT_EQ(rt.transport().roundtrips(), roundtrips);
+    EXPECT_TRUE(probe.Dropped(0, 3, bytes));
+    EXPECT_EQ(probe.backoffs, std::vector<Duration>{rt.transport().retry_policy().timeout});
+    EXPECT_EQ(rt.table(3).Lookup(c.object()).state, Residency::kUninitialized);
+    EXPECT_EQ(c.Call(&Blob::Get), 0);
+    rt.ValidateLocationInvariants();
+  });
+}
+
+TEST(FaultStatusTest, ReplicateFromRemoteHolderToDeadNodeIsUnreachable) {
+  Runtime rt(TestConfig());
+  fault::Injector injector(NodeThreeDeadFromStart());
+  rt.SetFaultInjector(&injector);
+  LossProbe probe;
+  rt.AddObserver(&probe);
+  rt.Run([&] {
+    auto c = New<Blob>();
+    MakeImmutable(c);
+    auto mover = NewOn<Mover>(2);  // node 2 never sees c
+    const int64_t bytes = static_cast<int64_t>(c.object()->amber_header().size);
+    const int64_t roundtrips = rt.transport().roundtrips();
+    ASSERT_EQ(rt.table(2).Lookup(c.object()).state, Residency::kUninitialized);
+    ASSERT_FALSE(rt.membership()->Suspects(2, 3));
+    EXPECT_EQ(static_cast<Status>(mover.Call(&Mover::MoveAway, c, 3)), Status::kUnreachable);
+    // Node 2 asked the holder (node 0) over a roundtrip, and the holder's
+    // copy was lost; no ack timeout blocked the caller.
+    EXPECT_GT(rt.transport().roundtrips(), roundtrips);
+    EXPECT_TRUE(probe.Dropped(0, 3, bytes));
+    EXPECT_TRUE(probe.backoffs.empty());
+    EXPECT_EQ(rt.table(3).Lookup(c.object()).state, Residency::kUninitialized);
+    EXPECT_EQ(c.Call(&Blob::Get), 0);
+    rt.ValidateLocationInvariants();
+  });
+}
+
+TEST(FaultStatusTest, RemoteMoveToDeadNodeLeavesObjectAtOwner) {
+  Runtime rt(TestConfig());
+  fault::Injector injector(NodeThreeDeadFromStart());
+  rt.SetFaultInjector(&injector);
+  LossProbe probe;
+  rt.AddObserver(&probe);
+  rt.Run([&] {
+    auto c = NewOn<Blob>(1);
+    const int64_t bytes = rt.ClosureBytes(c.object());
+    ASSERT_FALSE(rt.membership()->Suspects(0, 3));
+    EXPECT_NE(MoveTo(c, 3), Status::kOk);
+    // The owner shipped the closure and lost it, then flipped it back.
+    EXPECT_TRUE(probe.Dropped(1, 3, bytes));
+    EXPECT_EQ(rt.OwnerOf(c.object()), 1);
+    EXPECT_EQ(Locate(c), 1);
+    rt.ValidateLocationInvariants();
+    EXPECT_EQ(MoveTo(c, 2), Status::kOk);
+    EXPECT_EQ(Locate(c), 2);
     rt.ValidateLocationInvariants();
   });
 }

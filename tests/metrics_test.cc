@@ -342,6 +342,29 @@ TEST(RegistryTest, ClusterReportUsesRegistry) {
   EXPECT_NE(report.find("hold:"), std::string::npos);
 }
 
+TEST(RegistryTest, ClusterReportCountsOnlyItsOwnRunsMigrations) {
+  // One lock-free invocation from node 0 of an object on node 1: one thread
+  // migration each way.
+  auto report = [](Registry* reg) {
+    Runtime rt(TestConfig());
+    if (reg != nullptr) {
+      rt.SetMetrics(reg);
+    }
+    const Time end = rt.Run([] {
+      auto thing = NewOn<Pokee>(1);
+      thing.Call(&Pokee::Poke);
+    });
+    return ClusterReport(rt, end);
+  };
+  // Registry counters accumulate across the runtimes that share it; the
+  // report of the second run must still count that run's migrations only.
+  Registry shared;
+  report(&shared);
+  const std::string second = report(&shared);
+  EXPECT_EQ(second, report(nullptr));
+  EXPECT_NE(second.find("     0     0     1\n"), std::string::npos) << second;
+}
+
 TEST(RegistryTest, NoMetricsMeansNoChangeInVirtualTime) {
   auto run = [](Registry* reg) {
     Runtime rt(TestConfig());

@@ -101,7 +101,7 @@ TEST(NetworkTest, DeliveryCallbackRunsAtArrival) {
 TEST(NetworkTest, BulkTransferFragments) {
   NetHarness h;
   // 4500 bytes = 3 MTU fragments.
-  h.net().SendBulk(0, 1, 4500, 0);
+  h.net().SendBulkTracked(0, 1, 4500, 0);
   EXPECT_EQ(h.net().fragments(), 3);
   EXPECT_EQ(h.net().bytes_sent(), 4500);
   // Wire time: 3 × (100 µs + 1500·8/10e6 s = 1.2 ms) = 3.9 ms of occupancy.
@@ -113,7 +113,7 @@ TEST(NetworkTest, BulkFasterThanEquivalentDatagramsWithOverhead) {
   cost.rpc_recv_software = Micros(500);
   cost.per_fragment_overhead = Micros(50);
   NetHarness h(cost);
-  const Time bulk = h.net().SendBulk(0, 1, 4500, 0);
+  const Time bulk = h.net().SendBulkTracked(0, 1, 4500, 0).arrival;
   h.net().ResetStats();
   // Same payload as three separate datagrams, each paying the full receive
   // software path.
@@ -217,7 +217,7 @@ TEST(TransportTest, SenderCpuOccupiesProcessor) {
   cost.rpc_send_software = Millis(2);
   NetHarness h(cost);
   Time other_start = -1;
-  h.Go(0, [&] { h.rpc().Send(1, 0); });
+  h.Go(0, [&] { h.rpc().SendBulkTracked(1, 0); });
   h.Go(0, [&] { other_start = h.k().Now(); });
   h.k().Run();
   // The second fiber waits for the sender's 2 ms software path (1 CPU/node).

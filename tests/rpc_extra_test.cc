@@ -95,7 +95,7 @@ TEST(TransportTest, BulkChargesMarshalOnSender) {
   Harness h(net::Topology::kSharedBus, cost);
   Time after_charge = -1;
   h.Go(0, [&] {
-    h.rpc().SendBulk(1, 10000, nullptr);
+    h.rpc().SendBulkTracked(1, 10000, nullptr);
     after_charge = h.k().Now();  // sender's vtime includes the marshal
   });
   h.k().Run();

@@ -1,5 +1,4 @@
-// Tests for request-scoped tracing: the versioned context wire frame
-// (v1/v2/future compatibility, mirroring the heartbeat wire tests), sampled
+// Tests for request-scoped tracing: the context wire frame, sampled
 // end-to-end propagation through threads / invocations / the RPC wire,
 // exact virtual-time attribution closure, exemplar integration, the flight
 // recorder's span column, and byte-inertness when sampling is off.
@@ -14,7 +13,6 @@
 #include "src/core/amber.h"
 #include "src/fdr/fdr.h"
 #include "src/metrics/metrics.h"
-#include "src/rpc/wire.h"
 
 namespace rtrace {
 namespace {
@@ -37,12 +35,7 @@ class Worker final : public Object {
   }
 };
 
-// --- Wire compatibility --------------------------------------------------------
-//
-// The context frame is versioned like the membership heartbeat: a v1 frame
-// is exactly kContextV1Bytes, v2 appends a baggage word, and a decoder must
-// ignore unknown trailing bytes so frames from future versions still yield
-// the prefix it understands.
+// --- Wire format ---------------------------------------------------------------
 
 TEST(TraceContextWireTest, V1RoundTripIsExactlyTheFixedPrefix) {
   TraceContext tx;
@@ -57,74 +50,6 @@ TEST(TraceContextWireTest, V1RoundTripIsExactlyTheFixedPrefix) {
   EXPECT_EQ(rx.trace_id, 0x1122334455667788ull);
   EXPECT_EQ(rx.span_id, 42u);
   EXPECT_TRUE(rx.sampled());
-  EXPECT_FALSE(rx.has_baggage);
-}
-
-TEST(TraceContextWireTest, V2BaggageRoundTripsAndV1FrameStillDecodes) {
-  TraceContext tx;
-  tx.trace_id = 7;
-  tx.span_id = 9;
-  tx.flags = kContextFlagSampled;
-  tx.has_baggage = true;
-  tx.baggage = 1234;
-
-  const std::vector<uint8_t> frame = EncodeContext(tx);
-  EXPECT_EQ(frame.size(), kContextV1Bytes + kBaggageWireBytes);
-  const TraceContext rx = DecodeContext(frame);
-  EXPECT_EQ(rx.version, 2);
-  EXPECT_EQ(rx.trace_id, 7u);
-  ASSERT_TRUE(rx.has_baggage);
-  EXPECT_EQ(rx.baggage, 1234u);
-
-  TraceContext bare;
-  bare.trace_id = 3;
-  const TraceContext rx1 = DecodeContext(EncodeContext(bare));
-  EXPECT_EQ(rx1.version, 1);
-  EXPECT_EQ(rx1.trace_id, 3u);
-  EXPECT_FALSE(rx1.has_baggage);
-  EXPECT_FALSE(rx1.sampled());
-}
-
-TEST(TraceContextWireTest, V1StyleReaderAcceptsV2Frame) {
-  TraceContext tx;
-  tx.trace_id = 123;
-  tx.span_id = 5;
-  tx.has_baggage = true;
-  tx.baggage = 99;
-
-  // What a pre-baggage decoder does: read the fixed prefix, stop. The
-  // trailing baggage bytes are simply left unread.
-  rpc::WireBuffer r(EncodeContext(tx));
-  EXPECT_GE(r.GetU8(), 1);  // version: newer than it knows, prefix unchanged
-  EXPECT_EQ(r.GetU64(), 123u);
-  EXPECT_EQ(r.GetU64(), 5u);
-  r.GetU8();  // flags
-  EXPECT_EQ(r.remaining(), kBaggageWireBytes);
-}
-
-TEST(TraceContextWireTest, FutureVersionTrailingBytesAreIgnored) {
-  TraceContext tx;
-  tx.trace_id = 77;
-  tx.has_baggage = true;
-  tx.baggage = 5;
-  std::vector<uint8_t> frame = EncodeContext(tx);
-  frame[0] = 3;  // claim a future version
-  frame.insert(frame.end(), {0xde, 0xad, 0xbe, 0xef, 0x01});
-
-  const TraceContext rx = DecodeContext(frame);
-  EXPECT_EQ(rx.version, 3);
-  EXPECT_EQ(rx.trace_id, 77u);
-  ASSERT_TRUE(rx.has_baggage);
-  EXPECT_EQ(rx.baggage, 5u);
-
-  // A future frame whose extension is too short to hold the baggage word
-  // still yields the base fields.
-  std::vector<uint8_t> short_frame = EncodeContext(TraceContext{});
-  short_frame[0] = 3;
-  short_frame.push_back(0x42);
-  const TraceContext rx2 = DecodeContext(short_frame);
-  EXPECT_EQ(rx2.version, 3);
-  EXPECT_FALSE(rx2.has_baggage);
 }
 
 // --- End-to-end tracing --------------------------------------------------------
