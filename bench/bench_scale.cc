@@ -11,8 +11,7 @@
 //
 // The run is self-profiled by src/telemetry (the point of the exercise):
 // TELEMETRY_scale.json carries the per-subsystem wall buckets and the
-// sample ring, TELEMETRY_scale.openmetrics the text exposition, and
-// BENCH_scale.json the headline scale.wall.events_per_sec gauge that
+// sample ring, and BENCH_scale.json the headline scale.wall.events_per_sec gauge that
 // tools/bench_compare.py gates (higher is better, wide band — wall clock is
 // noisy; see docs/BENCHMARKS.md).
 //
@@ -181,13 +180,11 @@ int main(int argc, char** argv) {
     prof.Disable();
   }
 
-  // Final telemetry dumps (the periodic flush may have lagged the last
-  // samples) and the OpenMetrics exposition.
+  // Final telemetry dump (the periodic flush may have lagged the last
+  // samples).
   {
     std::ofstream out("TELEMETRY_scale.json");
     prof.WriteJson(out);
-    std::ofstream om("TELEMETRY_scale.openmetrics");
-    prof.WriteOpenMetrics(om);
   }
 
   const int64_t events = prof.count(telemetry::Count::kEvents);
@@ -243,6 +240,6 @@ int main(int argc, char** argv) {
   json.Config("topology", "switched");
   json.Config("telemetry", true);
   const std::string path = json.Write(virtual_end, &reg);
-  std::printf("\nwrote %s, TELEMETRY_scale.json, TELEMETRY_scale.openmetrics\n", path.c_str());
+  std::printf("\nwrote %s, TELEMETRY_scale.json\n", path.c_str());
   return 0;
 }

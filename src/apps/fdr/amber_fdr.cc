@@ -7,9 +7,7 @@
 //
 // Exit status: 0 on success, 1 on usage/IO error, 2 on a malformed dump.
 
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 
 #include "src/apps/fdr/fdr_report.h"
@@ -36,19 +34,17 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  std::ifstream in(path);
-  if (!in) {
-    std::cerr << "amber-fdr: cannot open " << path << "\n";
-    return 1;
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-
   fdrtool::Json dump;
   std::string error;
-  if (!fdrtool::ParseJson(buf.str(), &dump, &error)) {
-    std::cerr << "amber-fdr: malformed dump " << path << ": " << error << "\n";
-    return 2;
+  switch (fdrtool::LoadJson(path, &dump, &error)) {
+    case fdrtool::LoadStatus::kOk:
+      break;
+    case fdrtool::LoadStatus::kUnreadable:
+      std::cerr << "amber-fdr: " << error << "\n";
+      return 1;
+    case fdrtool::LoadStatus::kMalformed:
+      std::cerr << "amber-fdr: malformed dump " << error << "\n";
+      return 2;
   }
   fdrtool::RenderReport(dump, std::cout, timeline);
   return 0;

@@ -1,8 +1,10 @@
 #include "src/apps/fdr/fdr_report.h"
 
 #include <algorithm>
+#include <fstream>
 #include <map>
 #include <set>
+#include <sstream>
 
 namespace fdrtool {
 
@@ -448,6 +450,22 @@ void RenderTraffic(const Json& dump, std::ostream& out) {
 
 bool ParseJson(const std::string& text, Json* out, std::string* error) {
   return Parser(text, error).Parse(out);
+}
+
+LoadStatus LoadJson(const std::string& path, Json* out, std::string* error) {
+  std::ifstream in(path);
+  if (!in) {
+    *error = "cannot read " + path;
+    return LoadStatus::kUnreadable;
+  }
+  std::ostringstream text;
+  text << in.rdbuf();
+  std::string parse_error;
+  if (!ParseJson(text.str(), out, &parse_error)) {
+    *error = path + ": " + parse_error;
+    return LoadStatus::kMalformed;
+  }
+  return LoadStatus::kOk;
 }
 
 void RenderReport(const Json& dump, std::ostream& out, size_t timeline_events) {

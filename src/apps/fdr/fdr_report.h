@@ -42,6 +42,12 @@ struct Json {
 // byte offset) on malformed input.
 bool ParseJson(const std::string& text, Json* out, std::string* error);
 
+// Reads and parses the JSON file at `path`. On failure *error holds a
+// message naming the file: "cannot read <path>", or "<path>: " followed by
+// ParseJson's error.
+enum class LoadStatus { kOk, kUnreadable, kMalformed };
+LoadStatus LoadJson(const std::string& path, Json* out, std::string* error);
+
 // Renders the human "why did this run die" report for a parsed FDR dump.
 // `timeline_events` bounds the final-window timeline section.
 void RenderReport(const Json& dump, std::ostream& out, size_t timeline_events = 40);

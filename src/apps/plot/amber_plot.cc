@@ -21,8 +21,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -33,16 +31,9 @@ namespace {
 using fdrtool::Json;
 
 bool LoadJson(const std::string& path, Json* out) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "amber-plot: cannot read %s\n", path.c_str());
-    return false;
-  }
-  std::ostringstream ss;
-  ss << in.rdbuf();
   std::string error;
-  if (!fdrtool::ParseJson(ss.str(), out, &error)) {
-    std::fprintf(stderr, "amber-plot: %s: %s\n", path.c_str(), error.c_str());
+  if (fdrtool::LoadJson(path, out, &error) != fdrtool::LoadStatus::kOk) {
+    std::fprintf(stderr, "amber-plot: %s\n", error.c_str());
     return false;
   }
   return true;

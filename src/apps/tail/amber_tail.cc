@@ -18,9 +18,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -30,26 +28,10 @@ namespace {
 
 using fdrtool::Json;
 
-bool ReadFile(const std::string& path, std::string* out) {
-  std::ifstream in(path);
-  if (!in) {
-    return false;
-  }
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  *out = ss.str();
-  return true;
-}
-
 bool LoadJson(const std::string& path, Json* out) {
-  std::string text;
-  if (!ReadFile(path, &text)) {
-    std::fprintf(stderr, "amber-tail: cannot read %s\n", path.c_str());
-    return false;
-  }
   std::string error;
-  if (!fdrtool::ParseJson(text, out, &error)) {
-    std::fprintf(stderr, "amber-tail: %s: %s\n", path.c_str(), error.c_str());
+  if (fdrtool::LoadJson(path, out, &error) != fdrtool::LoadStatus::kOk) {
+    std::fprintf(stderr, "amber-tail: %s\n", error.c_str());
     return false;
   }
   return true;

@@ -20,8 +20,6 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -57,15 +55,8 @@ struct Frame {
 };
 
 bool LoadFrame(const std::string& path, Frame* out, std::string* error) {
-  std::ifstream in(path);
-  if (!in) {
-    *error = "cannot open " + path;
-    return false;
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
   fdrtool::Json doc;
-  if (!fdrtool::ParseJson(buf.str(), &doc, error)) {
+  if (fdrtool::LoadJson(path, &doc, error) != fdrtool::LoadStatus::kOk) {
     return false;
   }
   Frame f;

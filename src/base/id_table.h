@@ -45,11 +45,14 @@ class IdTable {
   T& operator[](uint64_t id) { return TryEmplace(id).first; }
 
   T* Find(uint64_t id) {
+    return const_cast<T*>(static_cast<const IdTable*>(this)->Find(id));
+  }
+  const T* Find(uint64_t id) const {
     const size_t c = static_cast<size_t>(id >> kChunkBits);
     if (c >= chunks_.size() || chunks_[c] == nullptr) {
       return nullptr;
     }
-    std::optional<T>& slot = (*chunks_[c])[id & kSlotMask];
+    const std::optional<T>& slot = (*chunks_[c])[id & kSlotMask];
     return slot.has_value() ? &*slot : nullptr;
   }
 

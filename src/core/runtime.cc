@@ -647,7 +647,9 @@ void Runtime::EnsureResident(Object* obj, int64_t payload_bytes) {
     metric_handles_->forward_chain.Total().Record(static_cast<double>(hops));
   }
   // Path compaction (§3.3): every node along the chain learns the final
-  // location, via asynchronous hint updates.
+  // location, via asynchronous hint updates. Unlike ResolveLocation's, this
+  // compaction needs no residency guard: the thread stands on the resident
+  // node, so by the single-resident rule no visited node is resident.
   const NodeId final_node = here();
   for (const auto& [v, hint] : visited) {
     if (v != final_node && hint != final_node) {
@@ -712,12 +714,18 @@ NodeId Runtime::ResolveLocation(Object* obj) {
   }
   // Path compaction for the nodes we probed. A node holding a replica keeps
   // it (the bytes stay useful for immutable reads); only its primary hint
-  // is refreshed.
+  // is refreshed. A probed node that is resident again is skipped: the
+  // object moved back there during a probe's Roundtrip, so `target` is
+  // stale and the hint would leave the object resident nowhere.
   for (NodeId v : visited) {
     if (v == target) {
       continue;
     }
-    if (tables_[static_cast<size_t>(v)]->Lookup(obj).state == Residency::kReplica) {
+    const Residency state = tables_[static_cast<size_t>(v)]->Lookup(obj).state;
+    if (state == Residency::kResident) {
+      continue;
+    }
+    if (state == Residency::kReplica) {
       tables_[static_cast<size_t>(v)]->SetReplica(obj, target);
     } else {
       tables_[static_cast<size_t>(v)]->SetForward(obj, target);
@@ -932,16 +940,11 @@ Status Runtime::MoveTo(Object* obj, NodeId dst) {
     if (Suspects(here(), dst)) {
       return Status::kUnreachable;  // destination's heartbeat lease expired
     }
-    if (owner == here()) {
-      return MoveOutLocal(obj, dst);
-    }
-    bool accepted = false;
-    const Status s = RequestRemoteMove(obj, owner, dst, &accepted);
-    if (s != Status::kOk) {
+    bool moved = false;
+    const Status s = owner == here() ? MoveOutLocal(obj, dst, &moved)
+                                     : RequestRemoteMove(obj, owner, dst, &moved);
+    if (s != Status::kOk || moved) {
       return s;
-    }
-    if (accepted) {
-      return Status::kOk;
     }
   }
 }
@@ -992,13 +995,18 @@ void Runtime::MaybePolicyPull(Object* primary) {
   policy_->OnPullResult(root, cur, ok);
 }
 
-Status Runtime::MoveOutLocal(Object* obj, NodeId dst) {
+Status Runtime::MoveOutLocal(Object* obj, NodeId dst, bool* moved) {
   const NodeId src = here();
   const Time move_start = sim_->Now();
   std::vector<Object*> closure;
   CollectClosure(obj, &closure);
   sim_->Charge(cost().move_setup);
   sim_->Sync();
+  if (!tables_[static_cast<size_t>(src)]->IsResident(obj)) {
+    // A remote move took the object during the Sync. Flipping now would
+    // leave it resident on two nodes; the caller re-resolves instead.
+    return Status::kOk;
+  }
   // §3.5 order: mark non-resident, then preempt every processor on this node
   // so running threads make a fresh residency check, then transfer.
   const int64_t total = FlipDescriptorsForMove(closure, src, dst);
@@ -1025,6 +1033,7 @@ Status Runtime::MoveOutLocal(Object* obj, NodeId dst) {
   sim_->Emit(&RuntimeObserver::OnObjectMove, sim_->Now(), obj, src, dst, total);
   RecordMove(move_start, total);
   MaybeRecheckpoint(obj);
+  *moved = true;
   return Status::kOk;
 }
 

@@ -458,8 +458,10 @@ class Runtime {
   Status TravelThread(NodeId dst, int64_t extra_bytes);
 
   // Executes the source side of a move at the owner == current node. On
-  // failure the closure is reverted to the source.
-  Status MoveOutLocal(Object* obj, NodeId dst);
+  // failure the closure is reverted to the source. *moved=false with kOk
+  // means a remote move took the object first and the caller should
+  // re-resolve.
+  Status MoveOutLocal(Object* obj, NodeId dst, bool* moved);
   // Asks `owner` to move obj to dst (source side runs there in event
   // context, latency model). *accepted=false with kOk means the object had
   // moved on and the caller should re-resolve.

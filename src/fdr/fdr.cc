@@ -1,7 +1,6 @@
 #include "src/fdr/fdr.h"
 
 #include <algorithm>
-#include <string_view>
 
 #include "src/base/json.h"
 #include "src/metrics/metrics.h"
@@ -53,30 +52,13 @@ const char* TypeName(EventType t) {
   return "unknown";
 }
 
-// Drop reasons travel as codes in the 1-byte flag.
-uint8_t DropCode(const char* reason) {
-  if (reason == nullptr) return 0;
-  if (std::string_view(reason) == "lossy") return 1;
-  if (std::string_view(reason) == "partition") return 2;
-  if (std::string_view(reason) == "node_down") return 3;
-  return 0;
-}
-
-const char* DropName(uint8_t code) {
-  switch (code) {
-    case 1: return "lossy";
-    case 2: return "partition";
-    case 3: return "node_down";
-  }
-  return "other";
-}
-
 }  // namespace
 
 Recorder::Recorder(Config config) : config_(std::move(config)) {
   if (config_.ring_capacity == 0) {
     config_.ring_capacity = 1;
   }
+  InternBytes("");  // label 0
 }
 
 void Recorder::AttachTo(amber::Runtime& rt) {
@@ -92,15 +74,20 @@ Recorder::Ring& Recorder::RingFor(NodeId node) {
   const size_t idx = node < 0 ? 0 : static_cast<size_t>(node);
   while (rings_.size() <= idx) {
     rings_.emplace_back();
-    rings_.back().buf.resize(config_.ring_capacity);
+    if (config_.ring_capacity != kKeepAll) {
+      rings_.back().buf.reserve(config_.ring_capacity);
+    }
   }
   return rings_[idx];
 }
 
 void Recorder::Append(EventType type, Time when, NodeId node, int64_t a, int64_t b, int64_t c,
-                      int32_t aux, uint8_t flag, uint64_t span) {
+                      int32_t aux, uint8_t flag, uint64_t span, uint32_t label) {
   Ring& ring = RingFor(node);
-  Record& r = ring.buf[ring.appended % ring.buf.size()];
+  if (ring.buf.size() < config_.ring_capacity) {
+    ring.buf.emplace_back();
+  }
+  Record& r = ring.buf[ring.appended % config_.ring_capacity];
   r.when = when;
   r.seq = next_seq_++;
   r.a = a;
@@ -108,6 +95,7 @@ void Recorder::Append(EventType type, Time when, NodeId node, int64_t a, int64_t
   r.c = c;
   r.span = span;
   r.aux = aux;
+  r.label = label;
   r.type = type;
   r.flag = flag;
   r.node = static_cast<int16_t>(node);
@@ -128,9 +116,7 @@ int64_t Recorder::recorded() const {
 int64_t Recorder::dropped() const {
   int64_t total = 0;
   for (const Ring& r : rings_) {
-    if (r.appended > r.buf.size()) {
-      total += static_cast<int64_t>(r.appended - r.buf.size());
-    }
+    total += static_cast<int64_t>(r.appended - r.buf.size());
   }
   return total;
 }
@@ -142,7 +128,7 @@ void Recorder::PublishMetrics(metrics::Registry* registry) {
   for (size_t n = 0; n < rings_.size(); ++n) {
     Ring& r = rings_[n];
     const uint64_t rec = r.appended;
-    const uint64_t drop = r.appended > r.buf.size() ? r.appended - r.buf.size() : 0;
+    const uint64_t drop = r.appended - r.buf.size();
     registry->GetCounter("fdr.recorded", static_cast<int>(n))
         .Add(static_cast<int64_t>(rec - r.published_recorded));
     registry->GetCounter("fdr.dropped", static_cast<int>(n))
@@ -153,6 +139,28 @@ void Recorder::PublishMetrics(metrics::Registry* registry) {
 }
 
 Recorder::ThreadLive& Recorder::Thread(ThreadId tid) { return threads_[tid]; }
+
+const std::string* Recorder::CreatedName(ThreadId thread) const {
+  const ThreadLive* t = threads_.Find(thread);
+  return t != nullptr && t->created ? &t->name : nullptr;
+}
+
+uint32_t Recorder::InternLabel(const std::string& text) {
+  const auto [it, inserted] = label_at_.try_emplace(&text, 0);
+  // The compare catches a different string later built at the same address.
+  if (inserted || Label(it->second) != text) {
+    it->second = InternBytes(text);
+  }
+  return it->second;
+}
+
+uint32_t Recorder::InternBytes(const std::string& text) {
+  const auto [it, inserted] = label_ids_.try_emplace(text, static_cast<uint32_t>(labels_.size()));
+  if (inserted) {
+    labels_.push_back(&it->first);
+  }
+  return it->second;
+}
 
 int Recorder::ObjectId(const void* obj) {
   auto it = obj_ids_.find(obj);
@@ -189,6 +197,7 @@ void Recorder::OnThreadCreate(Time when, NodeId node, ThreadId thread, const std
          static_cast<int64_t>(parent));
   ThreadLive& t = Thread(thread);
   t.name = name;
+  t.created = true;
   t.parent = parent;
   t.node = node;
   t.status = Status::kReady;
@@ -260,13 +269,14 @@ void Recorder::OnInvokeEnter(Time when, NodeId node, ThreadId thread, const void
                              const std::string& object, bool remote, NodeId origin,
                              Duration entry_overhead) {
   const int id = ObjectId(obj);
+  const uint32_t label = InternLabel(object);
   ObjectLive& o = objects_[static_cast<size_t>(id)];
-  if (o.label.empty()) {
-    o.label = object;
+  if (o.label == 0) {
+    o.label = label;
   }
   TouchObject(id, node, when);
   Append(EventType::kInvokeEnter, when, node, static_cast<int64_t>(thread), id, entry_overhead,
-         origin, remote ? 1 : 0, SpanOf(thread));
+         origin, remote ? 1 : 0, SpanOf(thread), label);
   Thread(thread).stack.push_back(id);
 }
 
@@ -375,7 +385,8 @@ void Recorder::OnMessage(Time depart, Time arrive, NodeId src, NodeId dst, int64
 
 void Recorder::OnMessageDropped(Time when, NodeId src, NodeId dst, int64_t bytes,
                                 const char* reason) {
-  Append(EventType::kMessageDropped, when, src, bytes, 0, 0, dst, DropCode(reason));
+  Append(EventType::kMessageDropped, when, src, bytes, 0, 0, dst, 0, 0,
+         reason != nullptr ? InternBytes(reason) : 0);
 }
 
 void Recorder::OnMessageDuplicated(Time when, NodeId src, NodeId dst, int64_t bytes) {
@@ -519,8 +530,8 @@ void Recorder::RenderEvent(std::ostream& out, const Record& r) const {
       out << ",\"dst\":" << r.aux << ",\"bytes\":" << r.a << ",\"arrive_ns\":" << r.b;
       break;
     case EventType::kMessageDropped:
-      out << ",\"dst\":" << r.aux << ",\"bytes\":" << r.a << ",\"reason\":\""
-          << DropName(r.flag) << "\"";
+      out << ",\"dst\":" << r.aux << ",\"bytes\":" << r.a
+          << ",\"reason\":" << Quote(Label(r.label));
       break;
     case EventType::kMessageDuplicated:
       out << ",\"dst\":" << r.aux << ",\"bytes\":" << r.a;
@@ -594,11 +605,10 @@ void Recorder::WriteDump(std::ostream& out, const std::string& reason,
   for (size_t n = 0; n < rings_.size(); ++n) {
     const Ring& ring = rings_[n];
     Time last = 0;
-    const size_t have = std::min<uint64_t>(ring.appended, ring.buf.size());
-    for (size_t i = 0; i < have; ++i) {
-      last = std::max(last, ring.buf[i].when);
+    for (const Record& r : ring.buf) {
+      last = std::max(last, r.when);
     }
-    const uint64_t drop = ring.appended > ring.buf.size() ? ring.appended - ring.buf.size() : 0;
+    const uint64_t drop = ring.appended - ring.buf.size();
     out << (n == 0 ? "" : ",") << "\n    {\"node\":" << n << ",\"recorded\":" << ring.appended
         << ",\"dropped\":" << drop << ",\"crashed\":"
         << (crashed_.count(static_cast<NodeId>(n)) ? "true" : "false")
@@ -801,7 +811,7 @@ void Recorder::WriteDump(std::ostream& out, const std::string& reason,
     for (int id : selected) {
       const ObjectLive& o = objects_[static_cast<size_t>(id)];
       out << (first ? "" : ",") << "\n    {\"id\":" << id << ",\"label\":"
-          << Quote(o.label.empty() ? "obj-" + std::to_string(id) : o.label)
+          << Quote(o.label == 0 ? "obj-" + std::to_string(id) : Label(o.label))
           << ",\"node\":" << o.node << ",\"last_touched_ns\":" << o.last_touch
           << ",\"chain\":[";
       auto it = chains.find(id);
@@ -831,25 +841,33 @@ void Recorder::WriteDump(std::ostream& out, const std::string& reason,
   }
   out << "\n  ],\n";
 
-  // The causally-merged final window: all retained records across rings,
-  // ordered by the global append sequence (== virtual-time order, since
-  // every emission happens at an ordered point).
+  // The causally-merged final window.
+  out << "  \"events\": [";
+  bool first_event = true;
+  ForEachRecord([&](const Record& r) {
+    out << (first_event ? "" : ",") << "\n    ";
+    RenderEvent(out, r);
+    first_event = false;
+  });
+  out << "\n  ]\n";
+  out << "}\n";
+}
+
+void Recorder::ForEachRecord(const std::function<void(const Record&)>& fn) const {
+  // All retained records across rings, ordered by the global append
+  // sequence (== virtual-time order, since every emission happens at an
+  // ordered point).
   std::vector<const Record*> merged;
   for (const Ring& ring : rings_) {
-    const size_t have = std::min<uint64_t>(ring.appended, ring.buf.size());
-    for (size_t i = 0; i < have; ++i) {
-      merged.push_back(&ring.buf[i]);
+    for (const Record& r : ring.buf) {
+      merged.push_back(&r);
     }
   }
   std::sort(merged.begin(), merged.end(),
             [](const Record* a, const Record* b) { return a->seq < b->seq; });
-  out << "  \"events\": [";
-  for (size_t i = 0; i < merged.size(); ++i) {
-    out << (i == 0 ? "" : ",") << "\n    ";
-    RenderEvent(out, *merged[i]);
+  for (const Record* r : merged) {
+    fn(*r);
   }
-  out << "\n  ]\n";
-  out << "}\n";
 }
 
 }  // namespace fdr

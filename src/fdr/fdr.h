@@ -1,15 +1,19 @@
-// Flight data recorder: the always-on black box for Amber runs.
+// Flight data recorder: the one full-bus recording of an Amber run.
 //
 // A fdr::Recorder subscribes to the amber::RuntimeObserver bus and encodes
 // *every* event — scheduler, invocation, lock, RPC, migration, fault,
-// membership, recovery — into fixed-size per-node ring buffers of compact
-// 56-byte binary records (O(1) append, no allocation once the rings are
-// sized; an overwritten record counts as dropped). Alongside the rings it
-// maintains a small live-state model fed by the same events: what each
-// thread is doing and what it is blocked on, who holds and who waits on
-// every lock, which reliable roundtrips are in flight and how many times
-// they have been retransmitted, which objects were touched recently, and
-// each node's suspicion view.
+// membership, recovery — into per-node rings of compact 64-byte binary
+// records (O(1) append). A bounded ring reserves its capacity up front, so
+// steady-state appends never allocate, and an overwritten record counts as
+// dropped; a ring created with kKeepAll keeps every record, which is how
+// trace::Tracer renders whole-run traces from the same records. Labels (an
+// invocation's object type, a drop's reason) are interned once and stored
+// per record as a 32-bit id. Alongside the rings the recorder maintains a
+// small live-state model fed by the same events: what each thread is doing
+// and what it is blocked on, who holds and who waits on every lock, which
+// reliable roundtrips are in flight and how many times they have been
+// retransmitted, which objects were touched recently, and each node's
+// suspicion view.
 //
 // On amber::Panic (failed AMBER_CHECK included), on injected-fault
 // divergence, or on an explicit Runtime::DumpBlackBox(path), WriteDump
@@ -37,6 +41,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <map>
 #include <ostream>
 #include <set>
@@ -59,6 +64,9 @@ struct Config {
   size_t ring_capacity = 4096;  // records retained per node (the last-K window)
   size_t dump_objects = 32;     // most-recently-touched objects dumped with chains
 };
+
+// ring_capacity that keeps every record: the rings grow and never wrap.
+inline constexpr size_t kKeepAll = std::numeric_limits<size_t>::max();
 
 // Every bus event maps to one record type. The numeric values are part of
 // the (versioned) dump schema only through their names — renderers must
@@ -100,6 +108,28 @@ enum class EventType : uint8_t {
   kPolicyMigration,
 };
 
+// One bus event in the compact binary encoding. `a`, `b`, `c` and `aux`
+// carry per-type arguments (see RenderEvent in fdr.cc for the decoding
+// table). `label` names an interned string (Recorder::Label): the invoked
+// object's type on invoke_enter, the reason on message_dropped, else 0 ("").
+// `seq` is the global append order — the causal merge key across rings
+// (events are emitted at ordered points, so append order *is* the
+// virtual-time order).
+struct Record {
+  Time when = 0;
+  uint64_t seq = 0;
+  int64_t a = 0;
+  int64_t b = 0;
+  int64_t c = 0;
+  uint64_t span = 0;  // active rtrace span of the acting thread (0 = untraced)
+  int32_t aux = 0;
+  uint32_t label = 0;
+  EventType type = EventType::kThreadCreate;
+  uint8_t flag = 0;  // small per-type flag: remote / ok / from_checkpoint
+  int16_t node = 0;
+};
+static_assert(sizeof(Record) == 64, "compact record layout");
+
 class Recorder : public amber::BlackBox {
  public:
   explicit Recorder(Config config = {});
@@ -131,6 +161,15 @@ class Recorder : public amber::BlackBox {
   void PublishMetrics(metrics::Registry* registry) override;
 
   const Config& config() const { return config_; }
+
+  // --- The records --------------------------------------------------------------
+  // fn(record) for every retained record of every ring, in `seq` order.
+  void ForEachRecord(const std::function<void(const Record&)>& fn) const;
+  // The interned string a record's `label` names.
+  const std::string& Label(uint32_t id) const { return *labels_[id]; }
+  // The name `thread` was created with; nullptr when its creation was not
+  // recorded.
+  const std::string* CreatedName(ThreadId thread) const;
 
   // --- amber::RuntimeObserver -------------------------------------------------
   void OnThreadMigrate(Time when, NodeId src, NodeId dst, ThreadId thread,
@@ -182,27 +221,10 @@ class Recorder : public amber::BlackBox {
                          Duration cost) override;
 
  private:
-  // The compact binary encoding: one fixed-width record per event. `a`,
-  // `b`, `c` and `aux` carry per-type arguments (see RenderEvent in
-  // fdr.cc for the decoding table); `seq` is the global append order — the
-  // causal merge key across rings (events are emitted at ordered points, so
-  // append order *is* the virtual-time order).
-  struct Record {
-    Time when = 0;
-    uint64_t seq = 0;
-    int64_t a = 0;
-    int64_t b = 0;
-    int64_t c = 0;
-    uint64_t span = 0;  // active rtrace span of the acting thread (0 = untraced)
-    int32_t aux = 0;
-    EventType type = EventType::kThreadCreate;
-    uint8_t flag = 0;  // small per-type flag: remote / ok / drop-reason code
-    int16_t node = 0;
-  };
-  static_assert(sizeof(Record) == 56, "compact record layout");
-
   struct Ring {
-    std::vector<Record> buf;  // capacity fixed when the ring is created
+    // Grows by push_back up to the capacity, then wraps; buf.size() records
+    // are retained.
+    std::vector<Record> buf;
     uint64_t appended = 0;
     // Marks for delta publication of fdr.recorded / fdr.dropped.
     uint64_t published_recorded = 0;
@@ -218,6 +240,7 @@ class Recorder : public amber::BlackBox {
     ThreadId parent = 0;
     NodeId node = 0;
     Status status = Status::kReady;
+    bool created = false;  // OnThreadCreate was recorded (names may be "")
     Time since = 0;  // last status change
     // Active wait (valid while blocked) and the armed marker that becomes
     // it at the next OnThreadBlock — same fiber-context marker protocol as
@@ -248,14 +271,20 @@ class Recorder : public amber::BlackBox {
   };
 
   struct ObjectLive {
-    std::string label;   // demangled class + ordinal, from the first invoke
+    uint32_t label = 0;  // first invocation label seen at this address
     NodeId node = -1;    // last known location
     Time last_touch = 0;
   };
 
   Ring& RingFor(NodeId node);
   void Append(EventType type, Time when, NodeId node, int64_t a = 0, int64_t b = 0,
-              int64_t c = 0, int32_t aux = 0, uint8_t flag = 0, uint64_t span = 0);
+              int64_t c = 0, int32_t aux = 0, uint8_t flag = 0, uint64_t span = 0,
+              uint32_t label = 0);
+  // Label ids: by the string's address first (Runtime::ObjectLabel hands
+  // every observer one stable string per dynamic type, so the bytes are
+  // hashed once per type, not once per invocation), else by its bytes.
+  uint32_t InternLabel(const std::string& text);
+  uint32_t InternBytes(const std::string& text);
   // The acting thread's active span id via the span source (0 without one).
   uint64_t SpanOf(ThreadId thread) const {
     return span_source_ && thread != 0 ? span_source_(thread) : 0;
@@ -279,6 +308,9 @@ class Recorder : public amber::BlackBox {
   std::set<NodeId> crashed_;
   std::unordered_map<const void*, int> obj_ids_;
   std::vector<ObjectLive> objects_;  // by dense id
+  std::unordered_map<std::string, uint32_t> label_ids_;
+  std::vector<const std::string*> labels_;  // by label id: keys of label_ids_
+  std::unordered_map<const std::string*, uint32_t> label_at_;  // caller's string -> id
   uint64_t next_seq_ = 0;
   std::function<uint64_t(ThreadId)> span_source_;
 };

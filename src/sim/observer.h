@@ -24,7 +24,7 @@ using sim::NodeId;
 // dense creation-order id (1, 2, 3, ... — deterministic across identical
 // runs). Events carry this instead of the thread's name so the hot path is
 // allocation-free; OnThreadCreate delivers the id→name binding exactly once
-// and sinks keep their own side table (see trace::Tracer::ThreadName).
+// and sinks keep their own side table (see fdr::Recorder::CreatedName).
 using ThreadId = uint64_t;
 
 // Observer of the runtime's events — the instrumentation bus. Callbacks run

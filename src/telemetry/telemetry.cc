@@ -198,36 +198,6 @@ void SelfProfiler::WriteJson(std::ostream& out, bool scrub_wall) const {
   out << "}\n";
 }
 
-void SelfProfiler::WriteOpenMetrics(std::ostream& out) const {
-  out << "# TYPE amber_selfprof_count_total counter\n";
-  for (int c = 0; c < kCountCount; ++c) {
-    out << "amber_selfprof_count_total{kind=\"" << CountName(static_cast<Count>(c))
-        << "\"} " << counts_[c] << "\n";
-  }
-  out << "# TYPE amber_selfprof_bucket_calls_total counter\n";
-  for (int b = 0; b < kBucketCount; ++b) {
-    out << "amber_selfprof_bucket_calls_total{bucket=\"" << BucketName(static_cast<Bucket>(b))
-        << "\"} " << buckets_[b].calls << "\n";
-  }
-  out << "# TYPE amber_selfprof_bucket_wall_seconds_total counter\n";
-  for (int b = 0; b < kBucketCount; ++b) {
-    out << "amber_selfprof_bucket_wall_seconds_total{bucket=\""
-        << BucketName(static_cast<Bucket>(b)) << "\"} "
-        << Num(static_cast<double>(bucket_wall_ns(static_cast<Bucket>(b))) / 1e9) << "\n";
-  }
-  out << "# TYPE amber_selfprof_node_dispatches_total counter\n";
-  for (size_t n = 0; n < node_dispatches_.size(); ++n) {
-    out << "amber_selfprof_node_dispatches_total{node=\"" << n << "\"} " << node_dispatches_[n]
-        << "\n";
-  }
-  out << "# TYPE amber_selfprof_enabled_wall_seconds gauge\n";
-  out << "amber_selfprof_enabled_wall_seconds "
-      << Num(static_cast<double>(EnabledWallNs()) / 1e9) << "\n";
-  out << "# TYPE amber_selfprof_events_per_second gauge\n";
-  out << "amber_selfprof_events_per_second " << Num(EventsPerSec()) << "\n";
-  out << "# EOF\n";
-}
-
 bool SelfProfiler::FlushTo(const std::string& path) const {
   return amber::json::WriteFileAtomically(
       path, [this](std::ostream& out) { WriteJson(out, /*scrub_wall=*/false); });

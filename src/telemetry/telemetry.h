@@ -224,9 +224,6 @@ class SelfProfiler {
   // are a deterministic function of the simulation.
   void WriteJson(std::ostream& out, bool scrub_wall = false) const;
 
-  // OpenMetrics-style text exposition (amber_selfprof_* families).
-  void WriteOpenMetrics(std::ostream& out) const;
-
   // Writes the (unscrubbed) JSON document to `path` atomically, via a .tmp
   // sibling and rename, so a concurrent reader never sees a torn file.
   bool FlushTo(const std::string& path) const;

@@ -1,72 +1,132 @@
 #include "src/trace/trace.h"
 
 #include <algorithm>
-#include <cinttypes>
 #include <cstdio>
 #include <map>
+#include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "src/base/json.h"
 
 namespace trace {
 namespace {
 
-const char* KindName(EventKind kind) {
-  switch (kind) {
-    case EventKind::kThreadMigrate:
-      return "thread-migrate";
-    case EventKind::kObjectMove:
-      return "object-move";
-    case EventKind::kReplicaInstall:
-      return "replica-install";
-    case EventKind::kMessage:
-      return "message";
-    case EventKind::kThreadCreate:
-      return "thread-create";
-    case EventKind::kThreadDispatch:
-      return "thread-dispatch";
-    case EventKind::kThreadBlock:
-      return "thread-block";
-    case EventKind::kThreadUnblock:
-      return "thread-unblock";
-    case EventKind::kThreadPreempt:
-      return "thread-preempt";
-    case EventKind::kThreadExit:
-      return "thread-exit";
-    case EventKind::kInvokeEnter:
-      return "invoke-enter";
-    case EventKind::kInvokeExit:
-      return "invoke-exit";
-    case EventKind::kLockBlocked:
-      return "lock-blocked";
-    case EventKind::kLockAcquired:
-      return "lock-acquired";
-    case EventKind::kLockReleased:
-      return "lock-released";
-    case EventKind::kConditionWake:
-      return "condition-wake";
-    case EventKind::kRpcRequest:
-      return "rpc-request";
-    case EventKind::kRpcResponse:
-      return "rpc-response";
-    case EventKind::kMessageDrop:
-      return "message-drop";
-    case EventKind::kMessageDup:
-      return "message-dup";
-    case EventKind::kMessageDelay:
-      return "message-delay";
-    case EventKind::kNodeCrash:
-      return "node-crash";
-    case EventKind::kNodeRestart:
-      return "node-restart";
-    case EventKind::kRpcRetry:
-      return "rpc-retry";
-    case EventKind::kRpcTimeout:
-      return "rpc-timeout";
+using amber::NodeId;
+using amber::ThreadId;
+using amber::Time;
+using amber::json::Escape;
+using fdr::EventType;
+using fdr::Record;
+
+// The trace's name for a record type; nullptr for the types it does not
+// draw (joins, backoffs, suspicion, recovery, drains, policy pulls).
+const char* KindName(EventType type) {
+  switch (type) {
+    case EventType::kThreadMigrate:     return "thread-migrate";
+    case EventType::kObjectMove:        return "object-move";
+    case EventType::kReplicaInstall:    return "replica-install";
+    case EventType::kMessage:           return "message";
+    case EventType::kThreadCreate:      return "thread-create";
+    case EventType::kThreadDispatch:    return "thread-dispatch";
+    case EventType::kThreadBlock:       return "thread-block";
+    case EventType::kThreadUnblock:     return "thread-unblock";
+    case EventType::kThreadPreempt:     return "thread-preempt";
+    case EventType::kThreadExit:        return "thread-exit";
+    case EventType::kInvokeEnter:       return "invoke-enter";
+    case EventType::kInvokeExit:        return "invoke-exit";
+    case EventType::kLockBlocked:       return "lock-blocked";
+    case EventType::kLockAcquired:      return "lock-acquired";
+    case EventType::kLockReleased:      return "lock-released";
+    case EventType::kConditionWake:     return "condition-wake";
+    case EventType::kRpcRequest:        return "rpc-request";
+    case EventType::kRpcResponse:       return "rpc-response";
+    case EventType::kMessageDropped:    return "message-drop";
+    case EventType::kMessageDuplicated: return "message-dup";
+    case EventType::kMessageDelayed:    return "message-delay";
+    case EventType::kNodeCrash:         return "node-crash";
+    case EventType::kNodeRestart:       return "node-restart";
+    case EventType::kRpcRetry:          return "rpc-retry";
+    case EventType::kRpcTimeout:        return "rpc-timeout";
+    default:                            return nullptr;
   }
-  return "?";
 }
 
-using amber::json::Escape;
+// What the renderers read off a drawn record besides its time and labels.
+// Only these fields hold nodes: in some records `aux` is a lock or
+// condition id.
+struct Row {
+  NodeId src;
+  NodeId dst;
+  int64_t bytes;  // the text log's byte column: payload, woken count or attempt
+  ThreadId tid;   // acting thread the text label names (0 = none)
+};
+
+Row RowOf(const Record& r) {
+  Row row{r.node, r.node, 0, 0};
+  switch (r.type) {
+    case EventType::kThreadMigrate:
+      row.dst = r.aux;
+      row.bytes = r.b;
+      row.tid = static_cast<ThreadId>(r.a);
+      break;
+    case EventType::kObjectMove:
+    case EventType::kRpcRequest:
+    case EventType::kRpcResponse:
+    case EventType::kRpcRetry:
+    case EventType::kRpcTimeout:
+      row.dst = r.aux;
+      row.bytes = r.b;
+      break;
+    case EventType::kMessage:
+    case EventType::kMessageDropped:
+    case EventType::kMessageDuplicated:
+      row.dst = r.aux;
+      row.bytes = r.a;
+      break;
+    case EventType::kMessageDelayed:
+      row.dst = r.aux;
+      break;
+    case EventType::kConditionWake:
+      row.bytes = r.a;
+      break;
+    case EventType::kThreadCreate:
+    case EventType::kThreadDispatch:
+    case EventType::kThreadBlock:
+    case EventType::kThreadUnblock:
+    case EventType::kThreadPreempt:
+    case EventType::kThreadExit:
+    case EventType::kInvokeEnter:
+    case EventType::kInvokeExit:
+    case EventType::kLockBlocked:
+    case EventType::kLockAcquired:
+    case EventType::kLockReleased:
+      row.tid = static_cast<ThreadId>(r.a);
+      break;
+    default:
+      break;
+  }
+  return row;
+}
+
+std::string ThreadName(const fdr::Recorder& rec, ThreadId tid) {
+  const std::string* name = rec.CreatedName(tid);
+  return name != nullptr ? *name : "t" + std::to_string(tid);
+}
+
+// Dense object labels ("obj-N"), N counting objects in the order a move or
+// replica install first names them, so traces are identical across runs
+// (unlike pointer values). The recorder's own object ids count every touch.
+class ObjectNames {
+ public:
+  std::string Of(int64_t id) {
+    const auto [it, inserted] = ordinals_.try_emplace(id, static_cast<int>(ordinals_.size()));
+    return "obj-" + std::to_string(it->second);
+  }
+
+ private:
+  std::unordered_map<int64_t, int> ordinals_;
+};
 
 double Us(Time t) { return static_cast<double>(t) / 1000.0; }
 
@@ -80,311 +140,13 @@ struct Line {
 
 }  // namespace
 
-bool IsDistributionEvent(EventKind kind) {
-  switch (kind) {
-    case EventKind::kThreadMigrate:
-    case EventKind::kObjectMove:
-    case EventKind::kReplicaInstall:
-    case EventKind::kMessage:
-      return true;
-    default:
-      return false;
-  }
+Tracer::Tracer() : fdr::Recorder({.name = "trace", .ring_capacity = fdr::kKeepAll}) {}
+
+size_t Tracer::size() const {
+  size_t n = 0;
+  ForEachRecord([&n](const Record& r) { n += KindName(r.type) != nullptr ? 1 : 0; });
+  return n;
 }
-
-std::string Tracer::ObjLabel(const void* obj) {
-  const auto [it, inserted] =
-      obj_ids_.try_emplace(obj, static_cast<int>(obj_ids_.size()));
-  return "obj-" + std::to_string(it->second);
-}
-
-std::string Tracer::ThreadName(ThreadId tid) const {
-  const auto it = thread_names_.find(tid);
-  if (it != thread_names_.end()) {
-    return it->second;
-  }
-  return "t" + std::to_string(tid);
-}
-
-// --- Recording ------------------------------------------------------------------
-
-void Tracer::OnThreadMigrate(Time when, NodeId src, NodeId dst, ThreadId thread,
-                             int64_t bytes) {
-  Event e;
-  e.kind = EventKind::kThreadMigrate;
-  e.when = when;
-  e.src = src;
-  e.dst = dst;
-  e.bytes = bytes;
-  e.tid = thread;
-  events_.push_back(std::move(e));
-}
-
-void Tracer::OnObjectMove(Time when, const void* obj, NodeId src, NodeId dst, int64_t bytes) {
-  Event e;
-  e.kind = EventKind::kObjectMove;
-  e.when = when;
-  e.src = src;
-  e.dst = dst;
-  e.bytes = bytes;
-  e.label = ObjLabel(obj);
-  events_.push_back(std::move(e));
-}
-
-void Tracer::OnReplicaInstall(Time when, const void* obj, NodeId node) {
-  Event e;
-  e.kind = EventKind::kReplicaInstall;
-  e.when = when;
-  e.src = node;
-  e.dst = node;
-  e.label = ObjLabel(obj);
-  events_.push_back(std::move(e));
-}
-
-void Tracer::OnMessage(Time depart, Time arrive, NodeId src, NodeId dst, int64_t bytes) {
-  Event e;
-  e.kind = EventKind::kMessage;
-  e.when = depart;
-  e.arrive = arrive;
-  e.src = src;
-  e.dst = dst;
-  e.bytes = bytes;
-  events_.push_back(std::move(e));
-}
-
-void Tracer::OnThreadCreate(Time when, NodeId node, ThreadId thread, const std::string& name,
-                            ThreadId parent) {
-  (void)parent;
-  thread_names_[thread] = name;
-  Event e;
-  e.kind = EventKind::kThreadCreate;
-  e.when = when;
-  e.src = e.dst = node;
-  e.tid = thread;
-  events_.push_back(std::move(e));
-}
-
-void Tracer::OnThreadDispatch(Time when, NodeId node, ThreadId thread, Duration queue_wait) {
-  Event e;
-  e.kind = EventKind::kThreadDispatch;
-  e.when = when;
-  e.src = e.dst = node;
-  e.dur = queue_wait;
-  e.tid = thread;
-  events_.push_back(std::move(e));
-}
-
-void Tracer::OnThreadBlock(Time when, NodeId node, ThreadId thread) {
-  Event e;
-  e.kind = EventKind::kThreadBlock;
-  e.when = when;
-  e.src = e.dst = node;
-  e.tid = thread;
-  events_.push_back(std::move(e));
-}
-
-void Tracer::OnThreadUnblock(Time when, NodeId node, ThreadId thread, ThreadId waker,
-                             Time wake_time) {
-  (void)waker;
-  (void)wake_time;
-  Event e;
-  e.kind = EventKind::kThreadUnblock;
-  e.when = when;
-  e.src = e.dst = node;
-  e.tid = thread;
-  events_.push_back(std::move(e));
-}
-
-void Tracer::OnThreadPreempt(Time when, NodeId node, ThreadId thread) {
-  Event e;
-  e.kind = EventKind::kThreadPreempt;
-  e.when = when;
-  e.src = e.dst = node;
-  e.tid = thread;
-  events_.push_back(std::move(e));
-}
-
-void Tracer::OnThreadExit(Time when, NodeId node, ThreadId thread) {
-  Event e;
-  e.kind = EventKind::kThreadExit;
-  e.when = when;
-  e.src = e.dst = node;
-  e.tid = thread;
-  events_.push_back(std::move(e));
-}
-
-void Tracer::OnInvokeEnter(Time when, NodeId node, ThreadId thread, const void* obj,
-                           const std::string& object, bool remote, NodeId origin,
-                           Duration entry_overhead) {
-  (void)obj;
-  (void)origin;
-  (void)entry_overhead;
-  Event e;
-  e.kind = EventKind::kInvokeEnter;
-  e.when = when;
-  e.src = e.dst = node;
-  e.remote = remote;
-  e.tid = thread;
-  e.label = object;
-  events_.push_back(std::move(e));
-}
-
-void Tracer::OnInvokeExit(Time when, NodeId node, ThreadId thread, Duration span, bool remote,
-                          Duration exit_overhead) {
-  (void)exit_overhead;
-  Event e;
-  e.kind = EventKind::kInvokeExit;
-  e.when = when;
-  e.src = e.dst = node;
-  e.dur = span;
-  e.remote = remote;
-  e.tid = thread;
-  events_.push_back(std::move(e));
-}
-
-void Tracer::OnLockBlocked(Time when, NodeId node, ThreadId thread, int lock) {
-  Event e;
-  e.kind = EventKind::kLockBlocked;
-  e.when = when;
-  e.src = e.dst = node;
-  e.value = lock;
-  e.tid = thread;
-  events_.push_back(std::move(e));
-}
-
-void Tracer::OnLockAcquired(Time when, NodeId node, ThreadId thread, int lock, Duration wait) {
-  Event e;
-  e.kind = EventKind::kLockAcquired;
-  e.when = when;
-  e.src = e.dst = node;
-  e.value = lock;
-  e.dur = wait;
-  e.tid = thread;
-  events_.push_back(std::move(e));
-}
-
-void Tracer::OnLockReleased(Time when, NodeId node, ThreadId thread, int lock, Duration held) {
-  Event e;
-  e.kind = EventKind::kLockReleased;
-  e.when = when;
-  e.src = e.dst = node;
-  e.value = lock;
-  e.dur = held;
-  e.tid = thread;
-  events_.push_back(std::move(e));
-}
-
-void Tracer::OnConditionWake(Time when, NodeId node, int condition, int woken) {
-  Event e;
-  e.kind = EventKind::kConditionWake;
-  e.when = when;
-  e.src = e.dst = node;
-  e.value = condition;
-  e.bytes = woken;
-  events_.push_back(std::move(e));
-}
-
-void Tracer::OnRpcRequest(Time depart, NodeId src, NodeId dst, int64_t bytes, uint64_t id,
-                          ThreadId requester) {
-  Event e;
-  e.kind = EventKind::kRpcRequest;
-  e.when = depart;
-  e.src = src;
-  e.dst = dst;
-  e.bytes = bytes;
-  e.value = static_cast<int64_t>(id);
-  e.tid = requester;
-  events_.push_back(std::move(e));
-}
-
-void Tracer::OnRpcResponse(Time when, Time reply_arrive, NodeId src, NodeId dst, int64_t bytes,
-                           uint64_t id) {
-  Event e;
-  e.kind = EventKind::kRpcResponse;
-  e.when = when;
-  e.arrive = reply_arrive;
-  e.src = src;
-  e.dst = dst;
-  e.bytes = bytes;
-  e.value = static_cast<int64_t>(id);
-  events_.push_back(std::move(e));
-}
-
-void Tracer::OnMessageDropped(Time when, NodeId src, NodeId dst, int64_t bytes,
-                              const char* reason) {
-  Event e;
-  e.kind = EventKind::kMessageDrop;
-  e.when = when;
-  e.src = src;
-  e.dst = dst;
-  e.bytes = bytes;
-  e.label = reason;
-  events_.push_back(std::move(e));
-}
-
-void Tracer::OnMessageDuplicated(Time when, NodeId src, NodeId dst, int64_t bytes) {
-  Event e;
-  e.kind = EventKind::kMessageDup;
-  e.when = when;
-  e.src = src;
-  e.dst = dst;
-  e.bytes = bytes;
-  events_.push_back(std::move(e));
-}
-
-void Tracer::OnMessageDelayed(Time when, NodeId src, NodeId dst, Duration extra) {
-  Event e;
-  e.kind = EventKind::kMessageDelay;
-  e.when = when;
-  e.src = src;
-  e.dst = dst;
-  e.dur = extra;
-  events_.push_back(std::move(e));
-}
-
-void Tracer::OnNodeCrash(Time when, NodeId node) {
-  Event e;
-  e.kind = EventKind::kNodeCrash;
-  e.when = when;
-  e.src = e.dst = node;
-  events_.push_back(std::move(e));
-}
-
-void Tracer::OnNodeRestart(Time when, NodeId node) {
-  Event e;
-  e.kind = EventKind::kNodeRestart;
-  e.when = when;
-  e.src = e.dst = node;
-  events_.push_back(std::move(e));
-}
-
-void Tracer::OnRpcRetry(Time when, NodeId src, NodeId dst, uint64_t id, int attempt,
-                        ThreadId requester) {
-  (void)requester;
-  Event e;
-  e.kind = EventKind::kRpcRetry;
-  e.when = when;
-  e.src = src;
-  e.dst = dst;
-  e.value = static_cast<int64_t>(id);
-  e.bytes = attempt;
-  events_.push_back(std::move(e));
-}
-
-void Tracer::OnRpcTimeout(Time when, NodeId src, NodeId dst, uint64_t id, int attempts,
-                          ThreadId requester) {
-  (void)requester;
-  Event e;
-  e.kind = EventKind::kRpcTimeout;
-  e.when = when;
-  e.src = src;
-  e.dst = dst;
-  e.value = static_cast<int64_t>(id);
-  e.bytes = attempts;
-  events_.push_back(std::move(e));
-}
-
-// --- Rendering ------------------------------------------------------------------
 
 void Tracer::WriteChromeTrace(std::ostream& out) const {
   std::vector<Line> lines;
@@ -394,206 +156,214 @@ void Tracer::WriteChromeTrace(std::ostream& out) const {
     lines.push_back(Line{ts, seq++, std::string(json)});
   };
 
-  NodeId max_node = 0;
-  for (const Event& e : events_) {
-    max_node = std::max({max_node, e.src, e.dst});
-  }
-
   // Render-time pairing state, all keyed by thread id (stable across runs).
   struct OpenSpan {
     Time start;
     NodeId node;
   };
-  std::map<ThreadId, OpenSpan> running;                 // open dispatch
-  std::map<ThreadId, std::vector<const Event*>> calls;  // invoke stack
-  std::map<ThreadId, int> migration_flow;               // awaiting arrival
-  std::map<int64_t, const Event*> rpc_requests;         // by rpc id
+  std::map<ThreadId, OpenSpan> running;                  // open dispatch
+  std::map<ThreadId, std::vector<const Record*>> calls;  // invoke stack
+  std::map<ThreadId, int> migration_flow;                // awaiting arrival
+  std::map<int64_t, const Record*> rpc_requests;         // by rpc id
   int next_flow = 0;
+  ObjectNames objects;
+  NodeId max_node = 0;
 
-  for (const Event& e : events_) {
-    switch (e.kind) {
-      case EventKind::kThreadDispatch:
-        running[e.tid] = OpenSpan{e.when, e.src};
+  ForEachRecord([&](const Record& e) {
+    const char* kind = KindName(e.type);
+    if (kind == nullptr) {
+      return;
+    }
+    const Row row = RowOf(e);
+    max_node = std::max({max_node, row.src, row.dst});
+    switch (e.type) {
+      case EventType::kThreadDispatch:
+        running[row.tid] = OpenSpan{e.when, row.src};
         break;
-      case EventKind::kThreadBlock:
-      case EventKind::kThreadPreempt:
-      case EventKind::kThreadExit: {
-        auto it = running.find(e.tid);
+      case EventType::kThreadBlock:
+      case EventType::kThreadPreempt:
+      case EventType::kThreadExit: {
+        auto it = running.find(row.tid);
         if (it != running.end()) {
           std::snprintf(buf, sizeof(buf),
                         "{\"name\":\"running\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,"
                         "\"pid\":%d,\"tid\":\"%s (cpu)\",\"cat\":\"sched\"}",
                         Us(it->second.start), Us(e.when - it->second.start), it->second.node,
-                        Escape(ThreadName(e.tid)).c_str());
+                        Escape(ThreadName(*this, row.tid)).c_str());
           add(Us(it->second.start), buf);
           running.erase(it);
         }
         break;
       }
-      case EventKind::kThreadUnblock: {
-        auto it = migration_flow.find(e.tid);
+      case EventType::kThreadUnblock: {
+        auto it = migration_flow.find(row.tid);
         if (it != migration_flow.end()) {
           std::snprintf(buf, sizeof(buf),
                         "{\"name\":\"migrate\",\"cat\":\"flow\",\"ph\":\"f\",\"bp\":\"e\","
                         "\"id\":%d,\"ts\":%.3f,\"pid\":%d,\"tid\":\"%s (cpu)\"}",
-                        it->second, Us(e.when), e.src, Escape(ThreadName(e.tid)).c_str());
+                        it->second, Us(e.when), row.src,
+                        Escape(ThreadName(*this, row.tid)).c_str());
           add(Us(e.when), buf);
           migration_flow.erase(it);
         }
         break;
       }
-      case EventKind::kThreadMigrate: {
+      case EventType::kThreadMigrate: {
+        const std::string name = Escape(ThreadName(*this, row.tid));
         const int id = next_flow++;
-        migration_flow[e.tid] = id;
+        migration_flow[row.tid] = id;
         std::snprintf(buf, sizeof(buf),
                       "{\"name\":\"migrate\",\"cat\":\"flow\",\"ph\":\"s\",\"id\":%d,"
                       "\"ts\":%.3f,\"pid\":%d,\"tid\":\"%s (cpu)\"}",
-                      id, Us(e.when), e.src, Escape(ThreadName(e.tid)).c_str());
+                      id, Us(e.when), row.src, name.c_str());
         add(Us(e.when), buf);
         std::snprintf(buf, sizeof(buf),
                       "{\"name\":\"thread-migrate %s %d->%d\",\"ph\":\"i\",\"ts\":%.3f,"
                       "\"pid\":%d,\"tid\":\"%s (cpu)\",\"s\":\"p\",\"cat\":\"migration\","
                       "\"args\":{\"bytes\":%lld}}",
-                      Escape(ThreadName(e.tid)).c_str(), e.src, e.dst, Us(e.when), e.src,
-                      Escape(ThreadName(e.tid)).c_str(), static_cast<long long>(e.bytes));
+                      name.c_str(), row.src, row.dst, Us(e.when), row.src, name.c_str(),
+                      static_cast<long long>(row.bytes));
         add(Us(e.when), buf);
         break;
       }
-      case EventKind::kInvokeEnter:
-        calls[e.tid].push_back(&e);
+      case EventType::kInvokeEnter:
+        calls[row.tid].push_back(&e);
         break;
-      case EventKind::kInvokeExit: {
-        auto it = calls.find(e.tid);
+      case EventType::kInvokeExit: {
+        auto it = calls.find(row.tid);
         if (it != calls.end() && !it->second.empty()) {
-          const Event* enter = it->second.back();
+          const Record* enter = it->second.back();
           it->second.pop_back();
           std::snprintf(buf, sizeof(buf),
                         "{\"name\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":%d,"
                         "\"tid\":\"%s\",\"cat\":\"invoke\",\"args\":{\"remote\":%s}}",
-                        Escape(enter->label).c_str(), Us(enter->when), Us(e.when - enter->when),
-                        enter->src, Escape(ThreadName(e.tid)).c_str(),
-                        enter->remote ? "true" : "false");
+                        Escape(Label(enter->label)).c_str(), Us(enter->when),
+                        Us(e.when - enter->when), enter->node,
+                        Escape(ThreadName(*this, row.tid)).c_str(),
+                        enter->flag != 0 ? "true" : "false");
           add(Us(enter->when), buf);
         }
         break;
       }
-      case EventKind::kRpcRequest:
-        rpc_requests[e.value] = &e;
+      case EventType::kRpcRequest:
+        rpc_requests[e.a] = &e;
         break;
-      case EventKind::kRpcResponse: {
-        auto it = rpc_requests.find(e.value);
+      case EventType::kRpcResponse: {
+        auto it = rpc_requests.find(e.a);
         if (it != rpc_requests.end()) {
-          const Event* req = it->second;
+          const Record* req = it->second;
           // Roundtrip span on the requester's "rpc" row (src of the request,
           // dst of the response).
           std::snprintf(buf, sizeof(buf),
                         "{\"name\":\"rpc %d->%d (%lld B)\",\"ph\":\"X\",\"ts\":%.3f,"
                         "\"dur\":%.3f,\"pid\":%d,\"tid\":\"rpc\",\"cat\":\"rpc\"}",
-                        req->src, req->dst, static_cast<long long>(req->bytes), Us(req->when),
-                        Us(e.arrive - req->when), req->src);
+                        req->node, req->aux, static_cast<long long>(req->b), Us(req->when),
+                        Us(e.c - req->when), req->node);
           add(Us(req->when), buf);
           const int id = next_flow++;
           std::snprintf(buf, sizeof(buf),
                         "{\"name\":\"rpc\",\"cat\":\"flow\",\"ph\":\"s\",\"id\":%d,"
                         "\"ts\":%.3f,\"pid\":%d,\"tid\":\"rpc\"}",
-                        id, Us(req->when), req->src);
+                        id, Us(req->when), req->node);
           add(Us(req->when), buf);
           std::snprintf(buf, sizeof(buf),
                         "{\"name\":\"rpc\",\"cat\":\"flow\",\"ph\":\"f\",\"bp\":\"e\","
                         "\"id\":%d,\"ts\":%.3f,\"pid\":%d,\"tid\":\"rpc\"}",
-                        id, Us(e.when), e.src);
+                        id, Us(e.when), row.src);
           add(Us(e.when), buf);
           rpc_requests.erase(it);
         }
         break;
       }
-      case EventKind::kMessage:
+      case EventType::kMessage:
         std::snprintf(buf, sizeof(buf),
                       "{\"name\":\"msg %d->%d (%lld B)\",\"ph\":\"X\",\"ts\":%.3f,"
                       "\"dur\":%.3f,\"pid\":%d,\"tid\":\"net\",\"cat\":\"message\"}",
-                      e.src, e.dst, static_cast<long long>(e.bytes), Us(e.when),
-                      Us(e.arrive - e.when), e.src);
+                      row.src, row.dst, static_cast<long long>(row.bytes), Us(e.when),
+                      Us(e.b - e.when), row.src);
         add(Us(e.when), buf);
         break;
-      case EventKind::kLockBlocked:
-      case EventKind::kLockAcquired:
-      case EventKind::kLockReleased:
+      case EventType::kLockBlocked:
+      case EventType::kLockAcquired:
+      case EventType::kLockReleased:
         std::snprintf(buf, sizeof(buf),
                       "{\"name\":\"%s lock-%lld\",\"ph\":\"i\",\"ts\":%.3f,\"pid\":%d,"
                       "\"tid\":\"%s\",\"s\":\"t\",\"cat\":\"sync\",\"args\":{\"ns\":%lld}}",
-                      KindName(e.kind), static_cast<long long>(e.value), Us(e.when), e.src,
-                      Escape(ThreadName(e.tid)).c_str(), static_cast<long long>(e.dur));
+                      kind, static_cast<long long>(e.aux), Us(e.when), row.src,
+                      Escape(ThreadName(*this, row.tid)).c_str(), static_cast<long long>(e.b));
         add(Us(e.when), buf);
         break;
-      case EventKind::kConditionWake:
+      case EventType::kConditionWake:
         std::snprintf(buf, sizeof(buf),
                       "{\"name\":\"condition-wake cond-%lld\",\"ph\":\"i\",\"ts\":%.3f,"
                       "\"pid\":%d,\"tid\":\"sync\",\"s\":\"t\",\"cat\":\"sync\","
                       "\"args\":{\"woken\":%lld}}",
-                      static_cast<long long>(e.value), Us(e.when), e.src,
-                      static_cast<long long>(e.bytes));
+                      static_cast<long long>(e.aux), Us(e.when), row.src,
+                      static_cast<long long>(row.bytes));
         add(Us(e.when), buf);
         break;
-      case EventKind::kThreadCreate:
+      case EventType::kThreadCreate: {
+        const std::string name = Escape(ThreadName(*this, row.tid));
         std::snprintf(buf, sizeof(buf),
                       "{\"name\":\"thread-create %s\",\"ph\":\"i\",\"ts\":%.3f,\"pid\":%d,"
                       "\"tid\":\"%s (cpu)\",\"s\":\"t\",\"cat\":\"sched\"}",
-                      Escape(ThreadName(e.tid)).c_str(), Us(e.when), e.src,
-                      Escape(ThreadName(e.tid)).c_str());
+                      name.c_str(), Us(e.when), row.src, name.c_str());
         add(Us(e.when), buf);
         break;
-      case EventKind::kObjectMove:
-      case EventKind::kReplicaInstall:
+      }
+      case EventType::kObjectMove:
+      case EventType::kReplicaInstall:
         std::snprintf(buf, sizeof(buf),
                       "{\"name\":\"%s %s %d->%d\",\"ph\":\"i\",\"ts\":%.3f,\"pid\":%d,"
                       "\"tid\":\"%s\",\"s\":\"p\",\"cat\":\"%s\",\"args\":{\"bytes\":%lld}}",
-                      KindName(e.kind), Escape(e.label).c_str(), e.src, e.dst, Us(e.when),
-                      e.src, KindName(e.kind), KindName(e.kind),
-                      static_cast<long long>(e.bytes));
+                      kind, Escape(objects.Of(e.a)).c_str(), row.src, row.dst, Us(e.when),
+                      row.src, kind, kind, static_cast<long long>(row.bytes));
         add(Us(e.when), buf);
         break;
-      case EventKind::kMessageDrop:
+      case EventType::kMessageDropped:
         std::snprintf(buf, sizeof(buf),
                       "{\"name\":\"drop %d->%d (%s)\",\"ph\":\"i\",\"ts\":%.3f,\"pid\":%d,"
                       "\"tid\":\"net\",\"s\":\"p\",\"cat\":\"fault\",\"args\":{\"bytes\":%lld}}",
-                      e.src, e.dst, Escape(e.label).c_str(), Us(e.when), e.src,
-                      static_cast<long long>(e.bytes));
+                      row.src, row.dst, Escape(Label(e.label)).c_str(), Us(e.when), row.src,
+                      static_cast<long long>(row.bytes));
         add(Us(e.when), buf);
         break;
-      case EventKind::kMessageDup:
+      case EventType::kMessageDuplicated:
         std::snprintf(buf, sizeof(buf),
                       "{\"name\":\"dup %d->%d\",\"ph\":\"i\",\"ts\":%.3f,\"pid\":%d,"
                       "\"tid\":\"net\",\"s\":\"p\",\"cat\":\"fault\",\"args\":{\"bytes\":%lld}}",
-                      e.src, e.dst, Us(e.when), e.src, static_cast<long long>(e.bytes));
+                      row.src, row.dst, Us(e.when), row.src, static_cast<long long>(row.bytes));
         add(Us(e.when), buf);
         break;
-      case EventKind::kMessageDelay:
+      case EventType::kMessageDelayed:
         std::snprintf(buf, sizeof(buf),
                       "{\"name\":\"delay %d->%d\",\"ph\":\"i\",\"ts\":%.3f,\"pid\":%d,"
                       "\"tid\":\"net\",\"s\":\"p\",\"cat\":\"fault\",\"args\":{\"extra_ns\":%lld}}",
-                      e.src, e.dst, Us(e.when), e.src, static_cast<long long>(e.dur));
+                      row.src, row.dst, Us(e.when), row.src, static_cast<long long>(e.a));
         add(Us(e.when), buf);
         break;
-      case EventKind::kNodeCrash:
-      case EventKind::kNodeRestart:
+      case EventType::kNodeCrash:
+      case EventType::kNodeRestart:
         std::snprintf(buf, sizeof(buf),
                       "{\"name\":\"%s node-%d\",\"ph\":\"i\",\"ts\":%.3f,\"pid\":%d,"
                       "\"tid\":\"fault\",\"s\":\"p\",\"cat\":\"fault\"}",
-                      KindName(e.kind), e.src, Us(e.when), e.src);
+                      kind, row.src, Us(e.when), row.src);
         add(Us(e.when), buf);
         break;
-      case EventKind::kRpcRetry:
-      case EventKind::kRpcTimeout:
+      case EventType::kRpcRetry:
+      case EventType::kRpcTimeout:
         std::snprintf(buf, sizeof(buf),
                       "{\"name\":\"%s %d->%d\",\"ph\":\"i\",\"ts\":%.3f,\"pid\":%d,"
                       "\"tid\":\"rpc\",\"s\":\"t\",\"cat\":\"fault\","
                       "\"args\":{\"id\":%lld,\"attempt\":%lld}}",
-                      KindName(e.kind), e.src, e.dst, Us(e.when), e.src,
-                      static_cast<long long>(e.value), static_cast<long long>(e.bytes));
+                      kind, row.src, row.dst, Us(e.when), row.src, static_cast<long long>(e.a),
+                      static_cast<long long>(row.bytes));
         add(Us(e.when), buf);
         break;
+      default:
+        break;
     }
-  }
+  });
 
   std::stable_sort(lines.begin(), lines.end(), [](const Line& a, const Line& b) {
     return a.ts != b.ts ? a.ts < b.ts : a.seq < b.seq;
@@ -624,35 +394,40 @@ void Tracer::WriteChromeTrace(std::ostream& out) const {
 
 void Tracer::WriteText(std::ostream& out) const {
   char buf[320];
-  for (const Event& e : events_) {
-    // Reconstruct the human label: acting thread's name, then any event
-    // label (object or reason) after a space — matching the pre-ThreadId
-    // format byte for byte.
-    std::string label;
-    switch (e.kind) {
-      case EventKind::kRpcRequest:
-      case EventKind::kRpcRetry:
-      case EventKind::kRpcTimeout:
-        // These carried no thread name before ids existed; keep them bare.
-        label = e.label;
+  ObjectNames objects;
+  ForEachRecord([&](const Record& e) {
+    const char* kind = KindName(e.type);
+    if (kind == nullptr) {
+      return;
+    }
+    const Row row = RowOf(e);
+    // The acting thread's name, then the event's own label (object type,
+    // object ordinal or drop reason) after a space.
+    std::string label = row.tid != 0 ? ThreadName(*this, row.tid) : "";
+    std::string detail;
+    switch (e.type) {
+      case EventType::kInvokeEnter:
+      case EventType::kMessageDropped:
+        detail = Label(e.label);
+        break;
+      case EventType::kObjectMove:
+      case EventType::kReplicaInstall:
+        detail = objects.Of(e.a);
         break;
       default:
-        if (e.tid != 0) {
-          label = ThreadName(e.tid);
-        }
-        if (!e.label.empty()) {
-          if (!label.empty()) {
-            label += " ";
-          }
-          label += e.label;
-        }
         break;
     }
+    if (!detail.empty()) {
+      if (!label.empty()) {
+        label += " ";
+      }
+      label += detail;
+    }
     std::snprintf(buf, sizeof(buf), "%12.3f ms  %-16s %d -> %d  %8lld B  %s\n",
-                  static_cast<double>(e.when) / 1e6, KindName(e.kind), e.src, e.dst,
-                  static_cast<long long>(e.bytes), label.c_str());
+                  static_cast<double>(e.when) / 1e6, kind, row.src, row.dst,
+                  static_cast<long long>(row.bytes), label.c_str());
     out << buf;
-  }
+  });
 }
 
 }  // namespace trace

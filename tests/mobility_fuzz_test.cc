@@ -201,6 +201,102 @@ TEST_P(MobilityChaosFuzz, RandomOpsSurviveLossAndCrash) {
 INSTANTIATE_TEST_SUITE_P(ChaosSeeds, MobilityChaosFuzz,
                          ::testing::Values(0x11uLL, 0xC0FFEEuLL, 0x5EEDuLL));
 
+// Racing movers (§3.3): every node's thread moves *any* item, so several
+// threads move one item at once. Two races used to break the single-resident
+// rule. ResolveLocation's path compaction overwrote a probed node whose
+// descriptor became resident again during the probe's Roundtrip, and
+// MoveOutLocal flipped the descriptors after a remote move had taken the
+// object during its setup Sync. Either left an object resident on no node
+// or on two, and chases then cycled until "forwarding chain did not
+// terminate".
+// SplitMix64's finalizer: the racers' whole random stream.
+uint64_t Mix(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+class Tally : public Object {
+ public:
+  int Add() {
+    Work(Micros(2));
+    return ++value_;
+  }
+  int Get() const { return value_; }
+
+ private:
+  int value_ = 0;
+};
+
+class Racer : public Object {
+ public:
+  Racer(std::vector<Ref<Tally>>* items, uint64_t seed, int ops)
+      : items_(items), seed_(seed), ops_(ops) {}
+
+  // Returns how many bumps this thread made.
+  int Run() {
+    uint64_t rng = seed_;
+    const auto nodes = static_cast<uint64_t>(Nodes());
+    int bumps = 0;
+    for (int op = 0; op < ops_; ++op) {
+      rng = Mix(rng);
+      Ref<Tally>& item = (*items_)[(rng >> 8) % items_->size()];
+      if ((rng & 3) == 0) {
+        MoveTo(item, static_cast<NodeId>((rng >> 40) % nodes));
+      } else {
+        item.Call(&Tally::Add);
+        ++bumps;
+      }
+    }
+    return bumps;
+  }
+
+ private:
+  std::vector<Ref<Tally>>* items_;
+  uint64_t seed_;
+  int ops_;
+};
+
+class RacingMovers : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(RacingMovers, AnyThreadMovesAnyItem) {
+  constexpr int kNodes = 8;
+  constexpr int kItemsPerNode = 8;
+  constexpr int kOpsPerNode = 2000;
+  Runtime::Config config;
+  config.nodes = kNodes;
+  config.procs_per_node = 1;
+  config.arena_bytes = size_t{256} << 20;
+  Runtime rt(config);
+  rt.Run([&] {
+    std::vector<Ref<Tally>> items;
+    for (NodeId n = 0; n < kNodes; ++n) {
+      for (int i = 0; i < kItemsPerNode; ++i) {
+        items.push_back(NewOn<Tally>(n));
+      }
+    }
+    std::vector<ThreadRef<int>> threads;
+    for (NodeId n = 0; n < kNodes; ++n) {
+      auto racer = NewOn<Racer>(n, &items, Mix(GetParam() ^ Mix(static_cast<uint64_t>(n))),
+                                kOpsPerNode);
+      threads.push_back(StartThread(racer, &Racer::Run));
+    }
+    int bumps = 0;
+    for (auto& t : threads) {
+      bumps += t.Join();
+    }
+    rt.ValidateLocationInvariants();
+    int total = 0;
+    for (auto& item : items) {
+      total += item.Call(&Tally::Get);
+    }
+    EXPECT_EQ(total, bumps) << "updates lost or duplicated while items raced";
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RacingMovers, ::testing::Range<uint64_t>(1, 17));
+
 // Concurrent variant: several threads fuzz disjoint object sets while a
 // mover shuffles a shared set — exercises bound-thread chasing under load.
 TEST(MobilityFuzzConcurrent, ThreadsChaseMovingObjects) {

@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 
 #include "src/apps/fdr/fdr_report.h"
@@ -190,27 +189,6 @@ TEST(TelemetryTest, SampleRingWrapsKeepingNewestChronologically) {
   }
 }
 
-TEST(TelemetryTest, OpenMetricsExposition) {
-  SelfProfiler::Config cfg;
-  cfg.sample_every_events = 1;
-  cfg.ring_capacity = 4;
-  SelfProfiler prof(cfg);
-  prof.Enable();
-  prof.SetNodeCount(2);
-  prof.NodeDispatch(0);
-  prof.OnEventLoopIteration(/*virtual_now_ns=*/100, /*queue_depth=*/1);
-  prof.Disable();
-  std::ostringstream out;
-  prof.WriteOpenMetrics(out);
-  const std::string om = out.str();
-  EXPECT_NE(om.find("# TYPE amber_selfprof_count_total counter"), std::string::npos);
-  EXPECT_NE(om.find("amber_selfprof_count_total{kind=\"events\"} 1"), std::string::npos);
-  EXPECT_NE(om.find("amber_selfprof_bucket_wall_seconds_total{bucket=\"event_loop\"}"),
-            std::string::npos);
-  EXPECT_NE(om.find("amber_selfprof_node_dispatches_total{node=\"0\"} 1"), std::string::npos);
-  EXPECT_EQ(om.rfind("# EOF\n"), om.size() - 6);
-}
-
 TEST(TelemetryTest, FlushToWritesParseableJsonAtomically) {
   SelfProfiler::Config cfg;
   cfg.sample_every_events = 1;
@@ -223,13 +201,9 @@ TEST(TelemetryTest, FlushToWritesParseableJsonAtomically) {
   prof.Disable();
   const std::string path = "TELEMETRY_unittest.json";
   ASSERT_TRUE(prof.FlushTo(path));
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::ostringstream buf;
-  buf << in.rdbuf();
   fdrtool::Json doc;
   std::string error;
-  ASSERT_TRUE(fdrtool::ParseJson(buf.str(), &doc, &error)) << error;
+  ASSERT_EQ(fdrtool::LoadJson(path, &doc, &error), fdrtool::LoadStatus::kOk) << error;
   EXPECT_EQ(doc.Str("telemetry"), "amber");
   ASSERT_NE(doc.Get("counts"), nullptr);
   EXPECT_EQ(doc.Get("counts")->Int("events"), 5);
