@@ -457,6 +457,10 @@ void Runtime::DeleteObject(Object* obj) {
       << "DeleteObject must run where the object is resident";
   objects_.Find(obj)->listed = 0;
   tables_[static_cast<size_t>(node)]->Erase(obj);
+  // Resident nowhere now, in the header as in the tables: a dangling
+  // reference misses the residency check's header path and is caught at
+  // the home node, wherever it is used.
+  h.owner = kNoNode;
   const NodeId home = gas_->HomeOf(obj);
   obj->~Object();  // virtual: destroys the complete object
   allocator(home).Free(obj);
@@ -586,15 +590,34 @@ void Runtime::EnsureResident(Object* obj, int64_t payload_bytes) {
   if (t->resolving_) {
     return;  // the outer resolution loop is already chasing
   }
+  // The header answers for a mutable object (§3.2): exactly one node holds
+  // it resident, and FlipDescriptors writes that node's entry and `owner`
+  // together, so `owner == here()` is this node's kResident entry, read
+  // from the record the invocation touches anyway. It counts as the
+  // descriptor lookup it replaces. Replicas of immutable objects are known
+  // only to the tables.
+  if (!h.IsImmutable() && h.owner == here()) {
+    telemetry::CountIfActive(telemetry::Count::kDescriptorLookups);
+    AMBER_DCHECK(tables_[static_cast<size_t>(h.owner)]->IsResident(obj))
+        << "owner " << h.owner << " has no resident descriptor for " << obj;
+    return;
+  }
   t->resolving_ = true;
   const bool faulty = rpc_->reliability_enabled();
   // (node, stale hint) pairs visited on the way, for path compaction.
   std::vector<std::pair<NodeId, NodeId>> visited;
   int hops = 0;
+  // Hops since the chased object's `owner` last changed: the bound below
+  // catches a chain that never reaches an object standing still, not a
+  // chase of one that keeps moving (a Join of a migrating thread).
+  int hops_since_move = 0;
+  NodeId owner_seen = h.owner;
   int failures = 0;  // consecutive unreachable rounds (fault-injected runs)
   for (;;) {
     const NodeId cur = here();
     const Descriptor d = tables_[static_cast<size_t>(cur)]->Lookup(obj);
+    AMBER_DCHECK(h.IsImmutable() || (d.state == Residency::kResident) == (h.owner == cur))
+        << "descriptor of " << obj << " on node " << cur << " disagrees with owner " << h.owner;
     if (d.state == Residency::kResident || d.state == Residency::kReplica) {
       break;
     }
@@ -620,7 +643,13 @@ void Runtime::EnsureResident(Object* obj, int64_t payload_bytes) {
       ++forward_hops_;
     }
     ++hops;
-    AMBER_CHECK(faulty || hops <= 2 * nodes() + 4) << "forwarding chain did not terminate";
+    if (h.owner != owner_seen) {
+      owner_seen = h.owner;
+      hops_since_move = 0;
+    }
+    ++hops_since_move;
+    AMBER_CHECK(faulty || hops_since_move <= 2 * nodes() + 4)
+        << "forwarding chain did not terminate";
     AMBER_LOG(kTrace) << "EnsureResident: chase " << obj << " " << cur << " -> " << target;
     if (TravelThread(target, payload_bytes) != Status::kOk) {
       // The hop target is unreachable (crashed or partitioned away). Repair

@@ -17,8 +17,11 @@
 // than a dense per-region array.
 //
 // Invariant (checked by tests): at any ordered point, exactly one node's
-// table marks a mutable object kResident, and every forwarding chain
-// terminates at that node.
+// table marks a mutable object kResident, that node is the object header's
+// `owner`, and every forwarding chain terminates at it. The residency check
+// (Runtime::EnsureResident) therefore asks the header first and reaches a
+// table only for an object that is not resident here or is immutable; the
+// tables remain the protocol's state for hints and replicas.
 
 #ifndef AMBER_SRC_KERNEL_DESCRIPTOR_TABLE_H_
 #define AMBER_SRC_KERNEL_DESCRIPTOR_TABLE_H_
@@ -52,7 +55,8 @@ class DescriptorTable {
  public:
   explicit DescriptorTable(NodeId node) : node_(node) {}
 
-  // The invocation-time check. Absent entries read as uninitialized.
+  // The table's half of the residency check. Absent entries read as
+  // uninitialized. Counts one descriptor lookup, as the header check does.
   Descriptor Lookup(const void* obj) const {
     telemetry::CountIfActive(telemetry::Count::kDescriptorLookups);
     const Descriptor* d = map_.Find(obj);

@@ -10,10 +10,15 @@
 // identity, home node, mobility linkage (attachment tree, §2.3), and the
 // immutability flag.
 //
-// `owner` is the authoritative current location. The location *protocol*
-// (forwarding chains, home-node fallback) never reads it — it is written by
-// migration, read by invariant checks and tests, and consulted only at
-// ordered points where the paper's kernel would hold the object's node lock.
+// `owner` is the authoritative current location: the one node whose table
+// marks the object kResident. Every writer of a kResident entry writes it in
+// the same step (DESIGN.md §4), so the residency check reads it first — for
+// a mutable object, resident here is `owner == here()`, the paper's one load
+// from the front of the object record — and falls back to the tables only
+// when the answer is no. The rest of the location protocol (forwarding
+// chains, home-node fallback, replicas) lives in the tables; `owner` is
+// otherwise read by invariant checks and at ordered points where the paper's
+// kernel would hold the object's node lock.
 
 #ifndef AMBER_SRC_KERNEL_OBJECT_HEADER_H_
 #define AMBER_SRC_KERNEL_OBJECT_HEADER_H_
@@ -43,7 +48,7 @@ struct ObjectHeader {
   uint32_t magic = 0;
   uint32_t flags = 0;
   NodeId home = kNoNode;   // node owning the region the object was carved from
-  NodeId owner = kNoNode;  // authoritative location (validation only; see above)
+  NodeId owner = kNoNode;  // authoritative location; resident there (see above)
   uint64_t size = 0;       // usable segment size of the primary allocation
 
   // For member objects: the primary (containing) object whose location

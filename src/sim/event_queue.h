@@ -4,13 +4,17 @@
 // ordering of simultaneous events deterministic (FIFO within a timestamp),
 // which in turn makes every simulation run bit-reproducible.
 //
-// The heap holds 24-byte trivially copyable keys {when, seq, payload}. A
-// payload is either a resume target -- a Fiber the kernel switches back
-// into, posted with PostResume -- or the index of a task slot. A task is any
-// callable: a capture of up to kInlineBytes lives in its slot, so once the
-// slab is warm posting and running one allocates nothing; a larger capture
-// costs one allocation. The slab grows in chunks that never move, so a task
-// runs in place even while it posts enough events to grow the slab.
+// A 4-ary min-heap holds 24-byte trivially copyable keys {when, seq,
+// payload}. A payload is either a resume target -- a Fiber the kernel
+// switches back into, posted with PostResume -- or the index of a task
+// slot. A Sync handoff that takes a resume off the top puts the new key in
+// its place and sifts it down once, instead of a push and a pop.
+//
+// A task is any callable: a capture of up to kInlineBytes lives in its slot,
+// so once the slab is warm posting and running one allocates nothing; a
+// larger capture costs one allocation. The slab grows in chunks that never
+// move, so a task runs in place even while it posts enough events to grow
+// the slab.
 
 #ifndef AMBER_SRC_SIM_EVENT_QUEUE_H_
 #define AMBER_SRC_SIM_EVENT_QUEUE_H_
@@ -117,11 +121,17 @@ class EventQueue {
       now_ = t;
       return target;
     }
-    Push(Key{t, next_seq_++, reinterpret_cast<uint64_t>(target)});
-    if ((heap_.front().payload & kTaskBit) != 0) {
+    const Key key{t, next_seq_++, reinterpret_cast<uint64_t>(target)};
+    const Key top = heap_.front();
+    if ((top.payload & kTaskBit) != 0) {
+      Push(key);
       return nullptr;
     }
-    return reinterpret_cast<Fiber*>(Pop().payload);
+    // The new key sorts after the top (its seq is the newest), so it takes
+    // the top's place and sinks: one pass where a push and a pop took two.
+    SiftDown(key);
+    now_ = top.when;
+    return reinterpret_cast<Fiber*>(top.payload);
   }
 
   bool Empty() const { return heap_.empty(); }
@@ -148,11 +158,9 @@ class EventQueue {
     uint64_t payload;  // Fiber* of a resume, or (slot index << 1) | kTaskBit
   };
   static_assert(sizeof(Key) == 24 && std::is_trivially_copyable_v<Key>);
-  struct Later {
-    bool operator()(const Key& a, const Key& b) const {
-      return a.when != b.when ? a.when > b.when : a.seq > b.seq;
-    }
-  };
+  static bool Before(const Key& a, const Key& b) {
+    return a.when != b.when ? a.when < b.when : a.seq < b.seq;
+  }
 
   // One cache line: the callable (or a pointer to a boxed one) and the
   // function that runs and/or destroys it.
@@ -179,16 +187,56 @@ class EventQueue {
     delete fn;
   }
 
+  // A 4-ary min-heap: node i's children are kArity * i + 1 ... + kArity.
+  // Half as deep as a binary heap, and a sibling group spans 96 bytes.
+  static constexpr size_t kArity = 4;
+
   void Push(const Key& key) {
+    size_t i = heap_.size();
     heap_.push_back(key);
-    std::push_heap(heap_.begin(), heap_.end(), Later{});
+    while (i > 0) {
+      const size_t parent = (i - 1) / kArity;
+      if (!Before(key, heap_[parent])) {
+        break;
+      }
+      heap_[i] = heap_[parent];
+      i = parent;
+    }
+    heap_[i] = key;
   }
   Key Pop() {
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    const Key key = heap_.back();
+    const Key top = heap_.front();
+    const Key last = heap_.back();
     heap_.pop_back();
-    now_ = key.when;
-    return key;
+    if (!heap_.empty()) {
+      SiftDown(last);
+    }
+    now_ = top.when;
+    return top;
+  }
+  // Overwrites the root with `key` and sinks it to its place.
+  void SiftDown(const Key& key) {
+    const size_t n = heap_.size();
+    size_t i = 0;
+    for (;;) {
+      const size_t first = kArity * i + 1;
+      if (first >= n) {
+        break;
+      }
+      const size_t end = std::min(first + kArity, n);
+      size_t best = first;
+      for (size_t c = first + 1; c < end; ++c) {
+        if (Before(heap_[c], heap_[best])) {
+          best = c;
+        }
+      }
+      if (!Before(heap_[best], key)) {
+        break;
+      }
+      heap_[i] = heap_[best];
+      i = best;
+    }
+    heap_[i] = key;
   }
 
   Slot& SlotAt(uint64_t index) { return chunks_[index / kChunkSlots][index % kChunkSlots]; }

@@ -67,7 +67,8 @@ const char* BucketName(Bucket b);
 enum class Count : int {
   kEvents = 0,            // event-loop iterations
   kDispatches = 1,        // fiber switch-ins from TryDispatch
-  kDescriptorLookups = 2, // DescriptorTable::Lookup calls
+  kDescriptorLookups = 2, // residency checks and descriptor reads: DescriptorTable::Lookup
+                          // calls plus EnsureResident's header fast path
   kAllocations = 3,       // SegmentAllocator::Allocate calls
   kAllocBytes = 4,        // bytes requested from SegmentAllocator
 };

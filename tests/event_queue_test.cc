@@ -10,8 +10,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <new>
+#include <random>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "src/sim/event_queue.h"
@@ -265,6 +269,114 @@ TEST(EventQueueStorageTest, ResumesAndTasksShareOneOrder) {
   }
   EXPECT_EQ(order, (std::vector<int>{0, 1, 200, 2, 300, 3, 200}));
   EXPECT_EQ(q.events_run(), 9u);
+}
+
+// Differential check against an ordered set of (when, seq): random Post,
+// PostResume, PostResumeAndTakeNext and RunOne at times drawn from a narrow
+// window (so many events tie), while the depth sweeps between 0 and ~2,000
+// (so every partly filled last sibling group occurs). Every event that runs
+// or is handed off must be the reference's earliest.
+TEST(EventQueueOrderTest, MatchesAnOrderedSetOfWhenAndSeq) {
+  using Ref = std::pair<Time, uint64_t>;
+  EventQueue q;
+  std::set<Ref> pending;
+  std::map<Ref, Fiber*> resumes;  // pending resume keys and their targets
+  std::vector<std::unique_ptr<Fiber>> fibers;
+  std::vector<Fiber*> idle;
+  std::vector<Ref> ran;  // what actually ran, in order
+  q.SetResumeHandler(
+      [](void* ctx, Fiber* f) {
+        static_cast<std::vector<Ref>*>(ctx)->push_back({f->vtime, f->id});
+      },
+      &ran);
+  uint64_t seq = 0;  // mirrors the queue's own posting counter
+  uint64_t events = 0;
+  std::mt19937_64 rng(20261018);
+  auto draw = [&rng](uint64_t n) { return rng() % n; };
+  // A resume target that remembers its key; one Fiber per pending resume.
+  auto target = [&fibers, &idle](Time when, uint64_t s) {
+    if (idle.empty()) {
+      fibers.push_back(std::make_unique<Fiber>());
+      idle.push_back(fibers.back().get());
+    }
+    Fiber* f = idle.back();
+    idle.pop_back();
+    f->vtime = when;
+    f->id = s;
+    return f;
+  };
+  auto retire = [&idle, &resumes](const Ref& key) {
+    const auto it = resumes.find(key);
+    if (it != resumes.end()) {
+      idle.push_back(it->second);
+      resumes.erase(it);
+    }
+  };
+  int handoff_resume_top = 0;
+  int handoff_task_top = 0;
+  int handoff_direct = 0;
+  const std::vector<size_t> depths = {0, 1, 5, 2, 17, 0, 2000, 3, 700, 1999, 0, 64, 1365, 0};
+  for (size_t depth : depths) {
+    for (int step = 0; step < 6000 || pending.size() != depth; ++step) {
+      const bool grow = pending.size() < depth ? draw(8) != 0 : draw(8) == 0;
+      const Time when = q.now() + static_cast<Time>(draw(4));
+      if (grow || pending.empty()) {
+        if (draw(2) == 0) {
+          const Ref key{when, seq++};
+          q.Post(when, [&ran, key] { ran.push_back(key); });
+          pending.insert(key);
+        } else {
+          const Ref key{when, seq++};
+          Fiber* f = target(when, key.second);
+          q.PostResume(when, f);
+          pending.insert(key);
+          resumes.emplace(key, f);
+        }
+        ASSERT_EQ(q.Size(), pending.size());
+        continue;
+      }
+      if (draw(2) == 0) {
+        const Ref expect = *pending.begin();
+        pending.erase(pending.begin());
+        ASSERT_TRUE(q.RunOne());
+        ++events;
+        ASSERT_EQ(ran.back(), expect);
+        ASSERT_EQ(q.now(), expect.first);
+        retire(expect);
+      } else {
+        const Ref key{when, seq++};
+        Fiber* f = target(when, key.second);
+        pending.insert(key);
+        resumes.emplace(key, f);
+        const Ref top = *pending.begin();
+        const bool resume_top = resumes.count(top) != 0;
+        if (top == key) {
+          ++handoff_direct;
+        } else if (resume_top) {
+          ++handoff_resume_top;
+        } else {
+          ++handoff_task_top;
+        }
+        Fiber* got = q.PostResumeAndTakeNext(when, f);
+        if (resume_top) {
+          ASSERT_NE(got, nullptr);
+          ASSERT_EQ((Ref{got->vtime, got->id}), top);
+          ASSERT_EQ(q.now(), top.first);
+          pending.erase(pending.begin());
+          ++events;
+          retire(top);
+        } else {
+          ASSERT_EQ(got, nullptr);
+        }
+      }
+      ASSERT_EQ(q.Size(), pending.size());
+      ASSERT_EQ(q.events_run(), events);
+    }
+  }
+  EXPECT_TRUE(q.Empty());
+  EXPECT_GT(handoff_resume_top, 1000);
+  EXPECT_GT(handoff_task_top, 1000);
+  EXPECT_GT(handoff_direct, 100);
 }
 
 }  // namespace

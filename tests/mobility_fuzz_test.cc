@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
 #include <vector>
 
 #include "src/base/rng.h"
@@ -258,10 +259,11 @@ class Racer : public Object {
   int ops_;
 };
 
-class RacingMovers : public ::testing::TestWithParam<uint64_t> {};
+// Parameters: (nodes, seed).
+class RacingMovers : public ::testing::TestWithParam<std::tuple<int, uint64_t>> {};
 
 TEST_P(RacingMovers, AnyThreadMovesAnyItem) {
-  constexpr int kNodes = 8;
+  const auto [kNodes, seed] = GetParam();
   constexpr int kItemsPerNode = 8;
   constexpr int kOpsPerNode = 2000;
   Runtime::Config config;
@@ -278,8 +280,8 @@ TEST_P(RacingMovers, AnyThreadMovesAnyItem) {
     }
     std::vector<ThreadRef<int>> threads;
     for (NodeId n = 0; n < kNodes; ++n) {
-      auto racer = NewOn<Racer>(n, &items, Mix(GetParam() ^ Mix(static_cast<uint64_t>(n))),
-                                kOpsPerNode);
+      auto racer =
+          NewOn<Racer>(n, &items, Mix(seed ^ Mix(static_cast<uint64_t>(n))), kOpsPerNode);
       threads.push_back(StartThread(racer, &Racer::Run));
     }
     int bumps = 0;
@@ -295,7 +297,17 @@ TEST_P(RacingMovers, AnyThreadMovesAnyItem) {
   });
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, RacingMovers, ::testing::Range<uint64_t>(1, 17));
+INSTANTIATE_TEST_SUITE_P(Seeds, RacingMovers,
+                         ::testing::Combine(::testing::Values(8),
+                                            ::testing::Range<uint64_t>(1, 17)));
+// In these runs the main thread's Join chases a racer that migrates as fast
+// as the joiner hops, so its owner changes at every hop. The hop bound counts
+// hops since the chased object's owner last changed, and they terminate.
+INSTANTIATE_TEST_SUITE_P(MigratingJoins, RacingMovers,
+                         ::testing::Values(std::make_tuple(8, uint64_t{21}),
+                                           std::make_tuple(8, uint64_t{35}),
+                                           std::make_tuple(4, uint64_t{15}),
+                                           std::make_tuple(4, uint64_t{18})));
 
 // Concurrent variant: several threads fuzz disjoint object sets while a
 // mover shuffles a shared set — exercises bound-thread chasing under load.

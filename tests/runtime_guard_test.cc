@@ -139,6 +139,20 @@ TEST(RuntimeGuardTest, DanglingReferencePanicsOnUse) {
                "dangling");
 }
 
+TEST(RuntimeGuardTest, DanglingReferencePanicsWhereTheObjectDied) {
+  Runtime rt(TestConfig());
+  EXPECT_DEATH(rt.Run([&] {
+    auto a = New<Cell>();
+    Cell* raw = a.unchecked();
+    Delete(a);
+    // Used on the node that held it: the header no longer names this node
+    // as owner, so the check reaches the table, which no longer knows it.
+    Ref<Cell> stale(raw);
+    stale.Call(&Cell::Get);
+  }),
+               "dangling");
+}
+
 TEST(RuntimeGuardTest, BarrierRequiresParties) {
   Runtime rt(TestConfig());
   EXPECT_DEATH(rt.Run([] {

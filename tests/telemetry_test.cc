@@ -169,6 +169,56 @@ TEST(TelemetryTest, CountsAndBucketsObserveTheRun) {
   EXPECT_GT(prof.EventsPerSec(), 0.0);
 }
 
+// An immutable object, and a reader that invokes it from the reader's node.
+class Constant : public Object {
+ public:
+  int Get() const { return 7; }
+};
+
+class Reader : public Object {
+ public:
+  int Read(Ref<Constant> c) { return c.Call(&Constant::Get); }
+};
+
+// Every residency check (§3.5) counts as one descriptor lookup, whether the
+// object's header or a table answers it. The program covers each kind of
+// check: local calls, a remote call, a call after a MoveTo, an immutable
+// object read through a replica, and a Join that chases a thread that
+// migrated. The constant was recorded when every check still probed a
+// table, so a check that skips counting (or counts twice) fails here.
+TEST(TelemetryTest, ResidencyChecksCountAsDescriptorLookups) {
+  Runtime::Config c;
+  c.nodes = 2;
+  c.procs_per_node = 1;
+  c.arena_bytes = size_t{64} << 20;
+  Runtime rt(c);
+  SelfProfiler prof(SmallRingConfig());
+  prof.Enable();
+  rt.Run([&] {
+    auto local = New<Pokee>();
+    auto far = New<Pokee>();
+    for (int i = 0; i < 3; ++i) {
+      local.Call(&Pokee::Poke);
+    }
+    auto remote = NewOn<Pokee>(1);
+    remote.Call(&Pokee::Poke);
+    MoveTo(local, 1);
+    local.Call(&Pokee::Poke);
+    auto constant = New<Constant>();
+    MakeImmutable(constant);
+    auto reader = NewOn<Reader>(1);
+    EXPECT_EQ(reader.Call(&Reader::Read, constant), 7);
+    // Main stays on node 1 after its calls there. The worker starts beside
+    // it and migrates to node 0, so the Join chases its thread object.
+    ASSERT_EQ(Here(), 1);
+    auto worker = StartThread(far, &Pokee::Poke);
+    EXPECT_EQ(worker.Join(), 1);
+    EXPECT_EQ(Here(), 0);
+  });
+  prof.Disable();
+  EXPECT_EQ(prof.count(Count::kDescriptorLookups), 30);
+}
+
 TEST(TelemetryTest, SampleRingWrapsKeepingNewestChronologically) {
   SelfProfiler::Config cfg;
   cfg.sample_every_events = 1;
