@@ -236,6 +236,7 @@ Runtime::Runtime(const Config& config) : config_(config) {
     }
     tables_.push_back(std::make_unique<DescriptorTable>(n));
   }
+  recovered_from_.resize(static_cast<size_t>(config.nodes));
   migration_matrix_.assign(static_cast<size_t>(config.nodes) * config.nodes, 0);
   sim_->SetResumeHook([this](sim::Fiber* f) { ResumeHook(f); });
   g_runtime = this;
@@ -303,7 +304,6 @@ Time Runtime::Run(std::function<void()> main) {
   t->header_.home = 0;
   t->header_.owner = 0;
   t->header_.size = sizeof(ThreadObject);
-  tables_[0]->SetResident(t);
   t->name_ = "main";
   t->body_ = std::move(main);
   void* stack = allocators_[0]->Allocate(config_.stack_bytes);
@@ -376,10 +376,8 @@ void* Runtime::AllocateObjectMemory(size_t size) {
   sim_->Charge(cost().object_create);
   sim_->Sync();
   void* p = AllocateSegmentOnCurrentNode(size);
-  // The descriptor is initialized at allocation time, on the allocating
-  // node (§3.2): the object is resident here from birth, even if its
-  // constructor migrates the creating thread.
-  tables_[static_cast<size_t>(here())]->SetResident(p);
+  // Resident here from birth (§3.2), even if the constructor migrates the
+  // creating thread: OnObjectConstruct names this node as `owner`.
   pending_.push_back(PendingAllocation{p, size, nullptr});
   return p;
 }
@@ -387,7 +385,6 @@ void* Runtime::AllocateObjectMemory(size_t size) {
 void Runtime::AbandonObjectMemory(void* p) {
   AMBER_CHECK(!pending_.empty() && pending_.back().base == p);
   pending_.pop_back();
-  tables_[static_cast<size_t>(here())]->Erase(p);
   allocator(gas_->HomeOf(p)).Free(p);
 }
 
@@ -453,13 +450,11 @@ void Runtime::DeleteObject(Object* obj) {
   sim_->Charge(cost().object_destroy);
   sim_->Sync();
   const NodeId node = here();
-  AMBER_CHECK(tables_[static_cast<size_t>(node)]->IsResident(obj))
-      << "DeleteObject must run where the object is resident";
+  AMBER_CHECK(h.owner == node) << "DeleteObject must run where the object is resident";
   objects_.Find(obj)->listed = 0;
-  tables_[static_cast<size_t>(node)]->Erase(obj);
-  // Resident nowhere now, in the header as in the tables: a dangling
-  // reference misses the residency check's header path and is caught at
-  // the home node, wherever it is used.
+  tables_[static_cast<size_t>(node)]->Erase(obj);  // a hint left from an earlier visit
+  // Resident nowhere now: a dangling reference misses the residency check's
+  // header path and is caught at the home node, wherever it is used.
   h.owner = kNoNode;
   const NodeId home = gas_->HomeOf(obj);
   obj->~Object();  // virtual: destroys the complete object
@@ -547,17 +542,17 @@ Status Runtime::TravelThread(NodeId dst, int64_t extra_bytes) {
   ThreadObject* t = current_thread();
   const NodeId src = here();
   AMBER_CHECK(dst != src);
-  // The thread object travels with the thread: forward at the source,
-  // resident at the destination. (Descriptors flip at departure; see
-  // DESIGN.md on the in-flight window.)
+  // The thread object travels with the thread: a hint at the source, its
+  // `owner` the destination. (Descriptors flip at departure; see DESIGN.md
+  // on the in-flight window.)
   FlipDescriptors(t, src, dst);
   const int64_t payload = ThreadPayloadBytes() + extra_bytes;
   const Time depart = sim_->Now();
   // Fault-injected run: the migration can fail (dst dead or partitioned away
   // for the whole retransmission budget). The thread is still on src then —
-  // flip the descriptors back, leaving a correct dst->src hint in place of
-  // the speculative resident entry. A lossless migration is counted and
-  // announced at departure instead, before it travels.
+  // flip the descriptors back, leaving a correct dst->src hint behind. A
+  // lossless migration is counted and announced at departure instead,
+  // before it travels.
   const bool reliable = rpc_->reliability_enabled();
   if (reliable && rpc_->Travel(dst, payload).status != rpc::SendStatus::kOk) {
     FlipDescriptors(t, dst, src);
@@ -590,16 +585,11 @@ void Runtime::EnsureResident(Object* obj, int64_t payload_bytes) {
   if (t->resolving_) {
     return;  // the outer resolution loop is already chasing
   }
-  // The header answers for a mutable object (§3.2): exactly one node holds
-  // it resident, and FlipDescriptors writes that node's entry and `owner`
-  // together, so `owner == here()` is this node's kResident entry, read
-  // from the record the invocation touches anyway. It counts as the
-  // descriptor lookup it replaces. Replicas of immutable objects are known
-  // only to the tables.
+  // The header answers for a mutable object (§3.2), read from the record the
+  // invocation touches anyway; counted like DescriptorAt. Replicas of
+  // immutable objects are known only to the tables.
   if (!h.IsImmutable() && h.owner == here()) {
     telemetry::CountIfActive(telemetry::Count::kDescriptorLookups);
-    AMBER_DCHECK(tables_[static_cast<size_t>(h.owner)]->IsResident(obj))
-        << "owner " << h.owner << " has no resident descriptor for " << obj;
     return;
   }
   t->resolving_ = true;
@@ -615,10 +605,8 @@ void Runtime::EnsureResident(Object* obj, int64_t payload_bytes) {
   int failures = 0;  // consecutive unreachable rounds (fault-injected runs)
   for (;;) {
     const NodeId cur = here();
-    const Descriptor d = tables_[static_cast<size_t>(cur)]->Lookup(obj);
-    AMBER_DCHECK(h.IsImmutable() || (d.state == Residency::kResident) == (h.owner == cur))
-        << "descriptor of " << obj << " on node " << cur << " disagrees with owner " << h.owner;
-    if (d.state == Residency::kResident || d.state == Residency::kReplica) {
+    const Descriptor d = DescriptorAt(cur, obj);
+    if (d.Holds()) {
       break;
     }
     NodeId target;
@@ -676,9 +664,7 @@ void Runtime::EnsureResident(Object* obj, int64_t payload_bytes) {
     metric_handles_->forward_chain.Total().Record(static_cast<double>(hops));
   }
   // Path compaction (§3.3): every node along the chain learns the final
-  // location, via asynchronous hint updates. Unlike ResolveLocation's, this
-  // compaction needs no residency guard: the thread stands on the resident
-  // node, so by the single-resident rule no visited node is resident.
+  // location, via asynchronous hint updates.
   const NodeId final_node = here();
   for (const auto& [v, hint] : visited) {
     if (v != final_node && hint != final_node) {
@@ -689,9 +675,17 @@ void Runtime::EnsureResident(Object* obj, int64_t payload_bytes) {
   t->resolving_ = false;
 }
 
+Descriptor Runtime::DescriptorAt(NodeId node, const Object* obj) const {
+  if (obj->header_.owner == node) {
+    telemetry::CountIfActive(telemetry::Count::kDescriptorLookups);
+    return Descriptor{Residency::kResident, kNoNode};
+  }
+  return tables_[static_cast<size_t>(node)]->Lookup(obj);
+}
+
 NodeId Runtime::ResolveLocation(Object* obj) {
   const NodeId cur = here();
-  Descriptor d = tables_[static_cast<size_t>(cur)]->Lookup(obj);
+  Descriptor d = DescriptorAt(cur, obj);
   if (d.state == Residency::kResident) {
     return cur;
   }
@@ -713,8 +707,8 @@ NodeId Runtime::ResolveLocation(Object* obj) {
   for (;;) {
     AMBER_CHECK(++hops <= 2 * nodes() + 4) << "forwarding chain did not terminate";
     if (target == cur) {
-      // A remote hint pointed back here; re-read our own table.
-      d = tables_[static_cast<size_t>(cur)]->Lookup(obj);
+      // A remote hint pointed back here; re-read our own descriptor.
+      d = DescriptorAt(cur, obj);
       if (d.state == Residency::kResident) {
         target = cur;
         break;
@@ -743,18 +737,14 @@ NodeId Runtime::ResolveLocation(Object* obj) {
   }
   // Path compaction for the nodes we probed. A node holding a replica keeps
   // it (the bytes stay useful for immutable reads); only its primary hint
-  // is refreshed. A probed node that is resident again is skipped: the
-  // object moved back there during a probe's Roundtrip, so `target` is
-  // stale and the hint would leave the object resident nowhere.
+  // is refreshed. If the object moved back to a probed node during a
+  // probe's Roundtrip, the hint written there is stale but harmless:
+  // `owner` still says the object lives there.
   for (NodeId v : visited) {
     if (v == target) {
       continue;
     }
-    const Residency state = tables_[static_cast<size_t>(v)]->Lookup(obj).state;
-    if (state == Residency::kResident) {
-      continue;
-    }
-    if (state == Residency::kReplica) {
+    if (DescriptorAt(v, obj).state == Residency::kReplica) {
       tables_[static_cast<size_t>(v)]->SetReplica(obj, target);
     } else {
       tables_[static_cast<size_t>(v)]->SetForward(obj, target);
@@ -765,7 +755,7 @@ NodeId Runtime::ResolveLocation(Object* obj) {
 
 NodeId Runtime::BroadcastLocate(Object* obj) {
   const NodeId cur = here();
-  if (tables_[static_cast<size_t>(cur)]->IsResident(obj)) {
+  if (obj->header_.owner == cur) {
     return cur;
   }
   for (NodeId n = 0; n < nodes(); ++n) {
@@ -783,7 +773,7 @@ NodeId Runtime::BroadcastLocate(Object* obj) {
     bool resident = false;
     const rpc::RoundtripResult rr =
         rpc_->Roundtrip(n, kControlBytes, [this, obj, n, &resident]() -> int64_t {
-          resident = tables_[static_cast<size_t>(n)]->IsResident(obj);
+          resident = obj->header_.owner == n;
           return kControlBytes;
         });
     if (rr.status == rpc::SendStatus::kOk && resident) {
@@ -838,9 +828,8 @@ bool Runtime::ProbeDescriptor(Object* obj, NodeId node, int64_t held_reply_bytes
                               Descriptor* out) {
   const rpc::RoundtripResult rr = rpc_->Roundtrip(
       node, kControlBytes, [this, obj, node, held_reply_bytes, out]() -> int64_t {
-        *out = tables_[static_cast<size_t>(node)]->Lookup(obj);
-        const bool held = out->state == Residency::kResident || out->state == Residency::kReplica;
-        return held ? kControlBytes + held_reply_bytes : kControlBytes;
+        *out = DescriptorAt(node, obj);
+        return out->Holds() ? kControlBytes + held_reply_bytes : kControlBytes;
       });
   return rr.status == rpc::SendStatus::kOk;
 }
@@ -861,7 +850,7 @@ Status Runtime::FetchReplica(Object* obj, NodeId from) {
     if (!ProbeDescriptor(obj, target, obj_bytes, &dd)) {
       return Status::kUnreachable;  // holder unreachable (fault-injected runs)
     }
-    if (dd.state == Residency::kResident || dd.state == Residency::kReplica) {
+    if (dd.Holds()) {
       break;
     }
     const NodeId next = dd.state == Residency::kRemoteHint ? dd.forward : gas_->HomeOf(obj);
@@ -876,8 +865,7 @@ Status Runtime::FetchReplica(Object* obj, NodeId from) {
   // Two threads on one node can fetch concurrently; both pay the fetch but
   // only one install is recorded. A stale forwarding hint is overwritten —
   // the replica supersedes it.
-  const Residency st = tables_[static_cast<size_t>(cur)]->Lookup(obj).state;
-  if (st != Residency::kReplica && st != Residency::kResident) {
+  if (!DescriptorAt(cur, obj).Holds()) {
     InstallReplica(obj, cur, target != cur ? target : kNoNode, sim_->Now());
   }
   return Status::kOk;
@@ -910,7 +898,6 @@ int64_t Runtime::ClosureBytes(Object* obj) {
 
 void Runtime::FlipDescriptors(Object* o, NodeId from, NodeId to) {
   tables_[static_cast<size_t>(from)]->SetForward(o, to);
-  tables_[static_cast<size_t>(to)]->SetResident(o);
   o->header_.owner = to;
 }
 
@@ -995,7 +982,7 @@ void Runtime::MaybePolicyPull(Object* primary) {
     return;  // already inside a residency resolution — don't recurse
   }
   const NodeId cur = here();
-  if (tables_[static_cast<size_t>(cur)]->IsResident(p)) {
+  if (h.owner == cur) {
     return;  // already local: the residency check will be free
   }
   // The movable unit is the attach-group root: attached children cannot be
@@ -1031,9 +1018,9 @@ Status Runtime::MoveOutLocal(Object* obj, NodeId dst, bool* moved) {
   CollectClosure(obj, &closure);
   sim_->Charge(cost().move_setup);
   sim_->Sync();
-  if (!tables_[static_cast<size_t>(src)]->IsResident(obj)) {
-    // A remote move took the object during the Sync. Flipping now would
-    // leave it resident on two nodes; the caller re-resolves instead.
+  if (obj->header_.owner != src) {
+    // A remote move took the object during the Sync. Moving it now would
+    // take it from wherever that move put it; the caller re-resolves instead.
     return Status::kOk;
   }
   // §3.5 order: mark non-resident, then preempt every processor on this node
@@ -1046,10 +1033,9 @@ Status Runtime::MoveOutLocal(Object* obj, NodeId dst, bool* moved) {
   const net::TxResult tx = rpc_->SendBulkTracked(dst, total, nullptr);
   if (!tx.delivered) {
     // The transfer was lost (destination crashed or link cut). Restore the
-    // closure at the source — the speculative resident entries at dst
-    // become correct dst->src hints — and surface the detection latency as
-    // one retransmission-timeout of blocking (the bulk protocol's ack
-    // timer).
+    // closure at the source, leaving correct dst->src hints behind, and
+    // surface the detection latency as one retransmission-timeout of
+    // blocking (the bulk protocol's ack timer).
     for (Object* o : closure) {
       FlipDescriptors(o, dst, src);
     }
@@ -1128,7 +1114,7 @@ Status Runtime::RequestRemoteMove(Object* obj, NodeId owner, NodeId dst, bool* a
     const rpc::RoundtripResult rr = rpc_->Roundtrip(
         owner, kControlBytes, [this, obj, owner, dst, &accepted, &moved_bytes]() -> int64_t {
           // A NACK when the object moved on or the transfer was lost.
-          if (tables_[static_cast<size_t>(owner)]->IsResident(obj) &&
+          if (obj->header_.owner == owner &&
               ShipClosure(obj, owner, dst, &moved_bytes).delivered) {
             accepted = true;
             ++objects_moved_;
@@ -1154,7 +1140,7 @@ Status Runtime::RequestRemoteMove(Object* obj, NodeId owner, NodeId dst, bool* a
     sim_->Sync();
     net_->Send(cur, owner, kControlBytes, sim_->Now(),
                [this, obj, owner, dst, cur, self, &accepted, &moved_bytes] {
-                 if (!tables_[static_cast<size_t>(owner)]->IsResident(obj)) {
+                 if (obj->header_.owner != owner) {
                    // The object moved on; NACK so the requester re-resolves.
                    sim_->Wake(self, net_->Send(owner, cur, kControlBytes, sim_->Now()));
                    return;
@@ -1176,15 +1162,14 @@ Status Runtime::RequestRemoteMove(Object* obj, NodeId owner, NodeId dst, bool* a
 }
 
 Status Runtime::ReplicateTo(Object* obj, NodeId dst) {
-  if (tables_[static_cast<size_t>(dst)]->Lookup(obj).state != Residency::kUninitialized) {
+  if (DescriptorAt(dst, obj).Holds()) {
     return Status::kOk;  // dst already holds the object or a replica
   }
   const NodeId cur = here();
   if (Suspects(cur, dst)) {
     return Status::kUnreachable;  // destination's heartbeat lease expired
   }
-  if (tables_[static_cast<size_t>(cur)]->Lookup(obj).state != Residency::kUninitialized &&
-      dst != cur) {
+  if (DescriptorAt(cur, obj).Holds() && dst != cur) {
     // We hold the bytes: bulk-copy them to dst and install a replica.
     SerializeClosure({obj});
     const net::TxResult tx =
@@ -1419,18 +1404,20 @@ bool Runtime::RecoverImmutable(Object* obj, NodeId node) {
     }
     Descriptor d;
     if (n == cur) {
-      d = tables_[static_cast<size_t>(cur)]->Lookup(obj);
+      d = DescriptorAt(cur, obj);
     } else if (!ProbeDescriptor(obj, n, 0, &d)) {
       continue;  // this candidate is unreachable too; keep scanning
     }
-    if (d.state != Residency::kReplica && d.state != Residency::kResident) {
+    if (!d.Holds()) {
       continue;
     }
     sim_->Sync();
     // Promote the survivor's replica to the primary copy.
-    tables_[static_cast<size_t>(n)]->SetResident(obj);
-    obj->header_.owner = n;
-    if (cur != n && !tables_[static_cast<size_t>(cur)]->IsResident(obj)) {
+    if (obj->header_.owner != n) {
+      recovered_from_[static_cast<size_t>(obj->header_.owner)].push_back(obj);
+      obj->header_.owner = n;
+    }
+    if (cur != n) {
       tables_[static_cast<size_t>(cur)]->SetForward(obj, n);
     }
     sim_->Emit(&RuntimeObserver::OnObjectRecovered, sim_->Now(), obj, dead, n,
@@ -1461,7 +1448,7 @@ bool Runtime::RecoverMutable(Object* obj, NodeId node) {
       return;
     }
     obj->AmberLoadState(it->second.bytes.data(), it->second.bytes.size());
-    tables_[static_cast<size_t>(buddy)]->SetResident(obj);
+    recovered_from_[static_cast<size_t>(dead)].push_back(obj);
     obj->header_.owner = buddy;
     restored = true;
   };
@@ -1482,7 +1469,7 @@ bool Runtime::RecoverMutable(Object* obj, NodeId node) {
   if (!restored) {
     return false;
   }
-  if (cur != buddy && !tables_[static_cast<size_t>(cur)]->IsResident(obj)) {
+  if (cur != buddy) {
     tables_[static_cast<size_t>(cur)]->SetForward(obj, buddy);
   }
   sim_->Emit(&RuntimeObserver::OnObjectRecovered, sim_->Now(), obj, dead, obj->header_.owner,
@@ -1602,24 +1589,24 @@ void Runtime::OnNodeEvent(Time when, NodeId node, bool up) {
   if (membership_ != nullptr) {
     membership_->OnNodeRestart(when, node);
   }
-  // Boot-time repair, run by the restarting node over its own table: while
-  // it was down, objects may have moved or been recovered away, leaving
-  // stale Resident claims here. Demote them so chases leave immediately —
-  // an immutable object's stale copy is still a perfectly good replica.
+  // Boot-time repair: point the node at the objects recovered away from it
+  // while it was down, so chases leave immediately — an immutable object's
+  // stale copy is still a perfectly good replica.
   DescriptorTable& tab = *tables_[static_cast<size_t>(node)];
-  ForEachListedObject([&tab, node](Object* obj, uint64_t) {
+  std::vector<Object*>& recovered = recovered_from_[static_cast<size_t>(node)];
+  for (Object* obj : recovered) {
+    const ObjectRecord* r = objects_.Find(obj);
     const ObjectHeader& h = obj->header_;
-    if (h.IsMember() || h.IsStackLocal()) {
-      return;
+    if (r == nullptr || !r->listed || h.owner == node) {
+      continue;  // deleted since, or back here again
     }
-    if (h.owner != node && tab.Lookup(obj).state == Residency::kResident) {
-      if (h.IsImmutable()) {
-        tab.SetReplica(obj, h.owner);
-      } else {
-        tab.SetForward(obj, h.owner);
-      }
+    if (h.IsImmutable()) {
+      tab.SetReplica(obj, h.owner);
+    } else {
+      tab.SetForward(obj, h.owner);
     }
-  });
+  }
+  recovered.clear();
   // The node's threads resume from the freeze: no longer lost.
   for (ThreadObject* t : threads_) {
     if (t->lost_ && t->header_.owner == node) {
@@ -1934,41 +1921,26 @@ void Runtime::NotifyBarrierWait() {
 // --- Validation -------------------------------------------------------------------------
 
 void Runtime::ValidateLocationInvariants() {
-  // Fault-injected runs relax the residency count around crashed nodes: a
-  // down node's table is frozen and may hold a stale Resident claim (the
-  // boot-time repair in OnNodeEvent fixes it on restart), and an object
-  // homed on a down node legitimately has no live resident copy at all.
-  // The oracle use (sim_->NodeUp) is sanctioned here — validation is a test
-  // instrument, not a protocol path.
+  // `owner` is the one record of residency: no table may claim it.
+  for (const auto& tab : tables_) {
+    tab->ForEach([&tab](const void* obj, const Descriptor& d) {
+      AMBER_CHECK(d.state != Residency::kResident)
+          << "node " << tab->node() << "'s table stores residency of " << obj;
+    });
+  }
+  // Fault-injected runs skip down nodes (their tables are frozen until the
+  // restart repair), and a chain may dead-end at one (repaired lazily by
+  // BroadcastLocate). The oracle use (sim_->NodeUp) is sanctioned here —
+  // validation is a test instrument, not a protocol path.
   const bool faulty = injector_ != nullptr && injector_->active();
   ForEachListedObject([this, faulty](Object* obj, uint64_t) {
     const ObjectHeader& h = obj->amber_header();
     if (h.IsMember() || h.IsStackLocal()) {
       return;
     }
-    // Exactly one *up* node marks a mutable object resident, and it is the
-    // owner — unless the owner itself is down, in which case nobody is.
-    int resident_count = 0;
-    for (NodeId n = 0; n < nodes(); ++n) {
-      if (faulty && !sim_->NodeUp(n)) {
-        continue;
-      }
-      const Descriptor d = tables_[static_cast<size_t>(n)]->Lookup(obj);
-      if (d.state == Residency::kResident) {
-        ++resident_count;
-        AMBER_CHECK(n == h.owner) << "resident node " << n << " != owner " << h.owner;
-      }
-      AMBER_CHECK(h.IsImmutable() || d.state != Residency::kReplica)
-          << "replica of a mutable object";
-    }
-    if (faulty && !sim_->NodeUp(h.owner)) {
-      AMBER_CHECK(resident_count == 0)
-          << "object claims residence on an up node but is owned by down node " << h.owner;
-    } else {
-      AMBER_CHECK(resident_count == 1) << "object resident on " << resident_count << " nodes";
-    }
-    // Every forwarding chain terminates at the owner; under faults a chain
-    // may dead-end at a down node (repaired lazily by BroadcastLocate).
+    AMBER_CHECK(h.owner >= 0 && h.owner < nodes()) << "object owned by node " << h.owner;
+    // Every forwarding chain terminates at the owner, and only an immutable
+    // object has replicas.
     for (NodeId n = 0; n < nodes(); ++n) {
       if (faulty && !sim_->NodeUp(n)) {
         continue;
@@ -1979,12 +1951,12 @@ void Runtime::ValidateLocationInvariants() {
         if (faulty && !sim_->NodeUp(at)) {
           break;  // chain runs into a down node: terminal until repaired
         }
-        const Descriptor d = tables_[static_cast<size_t>(at)]->Lookup(obj);
+        const Descriptor d = DescriptorAt(at, obj);
         if (d.state == Residency::kResident) {
           break;
         }
         if (d.state == Residency::kReplica) {
-          AMBER_CHECK(h.IsImmutable());
+          AMBER_CHECK(h.IsImmutable()) << "replica of a mutable object";
           break;
         }
         if (d.state == Residency::kUninitialized) {

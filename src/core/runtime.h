@@ -353,12 +353,13 @@ class Runtime {
   mem::GlobalAddressSpace& address_space() { return *gas_; }
   mem::SegmentAllocator& allocator(NodeId node);
 
-  // Authoritative location (validation/tests only — never the protocol).
+  // Where obj lives: its header's `owner`, the one record of residency.
+  // Uncounted, so observers and tests can ask without moving lookup counts.
   NodeId OwnerOf(const Object* obj) const;
 
-  // Checks: each mutable object resident on exactly its owner node; all
-  // forwarding chains terminate; attachment groups co-located. Panics on
-  // violation.
+  // Checks: owners valid, no table stores residency, every forwarding chain
+  // from an up node ends at the owner, no replica of a mutable object,
+  // attachment groups co-located. Panics on violation.
   void ValidateLocationInvariants();
 
   // Sum of bytes of the attachment closure rooted at obj (move payload).
@@ -398,7 +399,11 @@ class Runtime {
   // unreachable node (fault-injected runs only).
   NodeId ResolveLocation(Object* obj);
 
-  // Probes every reachable node for a Resident descriptor of obj — the
+  // `node`'s descriptor of obj: kResident where obj's `owner` is `node`, else
+  // the node's table entry. Counts one descriptor lookup either way.
+  Descriptor DescriptorAt(NodeId node, const Object* obj) const;
+
+  // Probes every reachable node for obj's residency (its `owner`) — the
   // forwarding-chain repair path when a hint routes through a dead node.
   // Returns kNoNode if no reachable node holds the object right now.
   NodeId BroadcastLocate(Object* obj);
@@ -431,7 +436,7 @@ class Runtime {
   // election — every recovering thread picks the same winner).
   bool RecoverImmutable(Object* obj, NodeId dead);
   // Restores obj's last checkpoint on its buddy node (idempotent: concurrent
-  // recoverers agree because the restore service no-ops once resident).
+  // recoverers agree because the restore service no-ops once obj left dead).
   bool RecoverMutable(Object* obj, NodeId dead);
   // Refreshes the buddy checkpoint after a successful move of a recoverable
   // object (quiescent point: the object just landed and is not mid-write).
@@ -442,7 +447,7 @@ class Runtime {
   void OnPeerTrusted(Time when, NodeId by, NodeId peer);
   // Semantic crash/restart hook from the injector (not the observability
   // sink): ground-truth timestamps for detection-latency metrics, and
-  // boot-time reconciliation of a restarted node's stale descriptors.
+  // boot-time repair of the objects recovered away from a restarted node.
   void OnNodeEvent(Time when, NodeId node, bool up);
   void NotifyRecoveryStart(const Object* obj);
   void NotifyRecoveryEnd(const Object* obj, bool ok);
@@ -491,9 +496,9 @@ class Runtime {
   // Collects obj + transitive attachment children.
   void CollectClosure(Object* obj, std::vector<Object*>* out);
 
-  // Moves one object's location from `from` to `to`: forward at `from`,
-  // resident at `to`, owner updated. A move flips this way at departure and
-  // a lost transfer flips back.
+  // Moves one object's location from `from` to `to`: a forwarding hint at
+  // `from`, `owner` set to `to`. A move flips this way at departure and a
+  // lost transfer flips back.
   void FlipDescriptors(Object* o, NodeId from, NodeId to);
   // Flips a moving closure at an ordered point; returns total payload bytes.
   int64_t FlipDescriptorsForMove(const std::vector<Object*>& closure, NodeId src, NodeId dst);
@@ -540,11 +545,11 @@ class Runtime {
   // One record per primary object, from its construction to its destruction.
   // The creation-sequence number is the deterministic order for DrainNode and
   // the object label on fault.unreachable (pointer order would vary with
-  // arena layout). `listed` marks the live primaries that DrainNode, the
-  // restart repair and validation walk: set once New finishes constructing
-  // the object, cleared by DeleteObject. The main thread and objects still
-  // under construction have a sequence number but are not listed. Both fit
-  // in one word, so a registry slot is 16 bytes.
+  // arena layout). `listed` marks the live primaries, which DrainNode and
+  // validation walk and the restart repair re-aims: set once New finishes
+  // constructing the object, cleared by DeleteObject. The main thread and
+  // objects still under construction have a sequence number but are not
+  // listed. Both fit in one word, so a registry slot is 16 bytes.
   struct ObjectRecord {
     uint64_t seq : 63 = 0;
     uint64_t listed : 1 = 0;
@@ -574,6 +579,8 @@ class Runtime {
   std::unordered_map<Object*, CheckpointRecord> checkpoints_;
   // Ground-truth crash instants (injector hook) for member.detect_latency.
   std::vector<Time> crash_time_;
+  // Per node, the objects recovered away from it since its last restart.
+  std::vector<std::vector<Object*>> recovered_from_;
   FailureHandler failure_handler_;
   // The registry's observer on the bus, and the handles of the inline
   // metric sites (runtime.cc); null without a registry.

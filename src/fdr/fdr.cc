@@ -804,6 +804,13 @@ void Recorder::WriteDump(std::ostream& out, const std::string& reason,
         }
       });
     }
+    // Residency is the header's `owner` (kNoNode once the object is deleted).
+    for (const auto& [ptr, id] : wanted) {
+      const NodeId owner = rt->OwnerOf(static_cast<const amber::Object*>(ptr));
+      if (owner != amber::kNoNode) {
+        chains[id][static_cast<size_t>(owner)] = "res";
+      }
+    }
   }
   out << "  \"objects\": [";
   {

@@ -1,13 +1,18 @@
 // Per-node object descriptor tables (§3.2, §3.3).
 //
-// Each node holds, for every object it has ever dealt with, a descriptor
-// saying whether the object is locally resident, a locally cached replica of
-// an immutable object, or remote — in which case the descriptor carries a
-// *forwarding address* (the last known location, possibly stale). An object
-// the node has never dealt with has an *uninitialized* descriptor — in the
-// paper this is detected through zero-filled pages; here, through absence
-// from the table — and is resolved via the object's home node, computed from
-// its address (§3.3).
+// A node's table holds what the node knows about objects it does not hold:
+// a *forwarding address* left when an object departed or learned from a
+// chain walk (the last known location, possibly stale, §3.3), or a locally
+// cached replica of an immutable object (§2.3). An object the node has never
+// dealt with has an *uninitialized* descriptor — in the paper this is
+// detected through zero-filled pages; here, through absence from the table —
+// and is resolved via the object's home node, computed from its address
+// (§3.3).
+//
+// Residency is not stored here: the object header's `owner` names the node
+// that holds the object, and Runtime::DescriptorAt answers kResident there
+// before it reads a table (ValidateLocationInvariants checks no runtime
+// table stores a kResident entry).
 //
 // Storage: one flat open-addressed table per node (amber::AddressMap), keyed
 // by the object's address, so the residency check reads about one cache
@@ -15,13 +20,6 @@
 // the node's own regions (forwarding hints name objects anywhere, and thread
 // objects live in node 0's regions), which is why the table is hashed rather
 // than a dense per-region array.
-//
-// Invariant (checked by tests): at any ordered point, exactly one node's
-// table marks a mutable object kResident, that node is the object header's
-// `owner`, and every forwarding chain terminates at it. The residency check
-// (Runtime::EnsureResident) therefore asks the header first and reaches a
-// table only for an object that is not resident here or is immutable; the
-// tables remain the protocol's state for hints and replicas.
 
 #ifndef AMBER_SRC_KERNEL_DESCRIPTOR_TABLE_H_
 #define AMBER_SRC_KERNEL_DESCRIPTOR_TABLE_H_
@@ -41,7 +39,7 @@ using sim::kNoNode;
 
 enum class Residency : uint8_t {
   kUninitialized,  // never seen here: consult the home node
-  kResident,       // object lives on this node
+  kResident,       // object lives on this node (its header's `owner`)
   kRemoteHint,     // forwarding address in Descriptor::forward (may be stale)
   kReplica,        // local copy of an immutable object
 };
@@ -49,6 +47,9 @@ enum class Residency : uint8_t {
 struct Descriptor {
   Residency state = Residency::kUninitialized;
   NodeId forward = kNoNode;
+
+  // The node has the object's bytes, not just a hint of where they are.
+  bool Holds() const { return state == Residency::kResident || state == Residency::kReplica; }
 };
 
 class DescriptorTable {
@@ -63,11 +64,8 @@ class DescriptorTable {
     return d == nullptr ? Descriptor{} : *d;
   }
 
-  bool IsResident(const void* obj) const {
-    const Descriptor* d = map_.Find(obj);
-    return d != nullptr && d->state == Residency::kResident;
-  }
-
+  // Unused by the runtime (residency is the header's `owner`); table probes
+  // and microbenchmarks fill tables with it.
   void SetResident(const void* obj) { map_[obj] = {Residency::kResident, kNoNode}; }
 
   // Leaves a forwarding address behind when the object departs (§3.3), or

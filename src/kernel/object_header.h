@@ -10,15 +10,15 @@
 // identity, home node, mobility linkage (attachment tree, §2.3), and the
 // immutability flag.
 //
-// `owner` is the authoritative current location: the one node whose table
-// marks the object kResident. Every writer of a kResident entry writes it in
-// the same step (DESIGN.md §4), so the residency check reads it first — for
-// a mutable object, resident here is `owner == here()`, the paper's one load
-// from the front of the object record — and falls back to the tables only
-// when the answer is no. The rest of the location protocol (forwarding
-// chains, home-node fallback, replicas) lives in the tables; `owner` is
-// otherwise read by invariant checks and at ordered points where the paper's
-// kernel would hold the object's node lock.
+// `owner` is the one record of residency: the object lives on exactly the
+// node it names; no descriptor table stores residency (DESIGN.md §4). The
+// residency check reads it first — for a mutable object, resident here is
+// `owner == here()`, the paper's one load from the front of the object
+// record — and falls back to the tables (forwarding chains, home-node
+// fallback, replicas) only when the answer is no. `owner` is written only at
+// ordered points where the paper's kernel would hold the object's node lock:
+// creation, a move's or migration's departure and revert, a recovery, and
+// DeleteObject, which clears it.
 
 #ifndef AMBER_SRC_KERNEL_OBJECT_HEADER_H_
 #define AMBER_SRC_KERNEL_OBJECT_HEADER_H_

@@ -124,15 +124,19 @@ double SelfProfiler::EventsPerSec() const {
 }
 
 void SelfProfiler::TakeSample(int64_t virtual_now_ns, int64_t queue_depth) {
+  if (config_.ring_capacity == 0) {
+    return;
+  }
+  if (--until_heap_ == 0) {
+    until_heap_ = kHeapSampleEvery;
+    heap_bytes_ = HeapInUseBytes();
+  }
   Sample s;
   s.virtual_time_ns = virtual_now_ns;
   s.wall_ns = enable_start_ns_ != 0 ? NowNs() - enable_start_ns_ : EnabledWallNs();
   s.events = count(Count::kEvents);
   s.queue_depth = queue_depth;
-  s.heap_bytes = HeapInUseBytes();
-  if (config_.ring_capacity == 0) {
-    return;
-  }
+  s.heap_bytes = heap_bytes_;
   if (ring_.size() < config_.ring_capacity) {
     ring_.push_back(s);
   } else {

@@ -68,7 +68,7 @@ enum class Count : int {
   kEvents = 0,            // event-loop iterations
   kDispatches = 1,        // fiber switch-ins from TryDispatch
   kDescriptorLookups = 2, // residency checks and descriptor reads: DescriptorTable::Lookup
-                          // calls plus EnsureResident's header fast path
+                          // calls plus the header's answers where `owner` is the node
   kAllocations = 3,       // SegmentAllocator::Allocate calls
   kAllocBytes = 4,        // bytes requested from SegmentAllocator
 };
@@ -97,7 +97,7 @@ class SelfProfiler {
     int64_t wall_ns = 0;          // since Enable(); host-dependent
     int64_t events = 0;           // cumulative event-loop iterations (deterministic)
     int64_t queue_depth = 0;      // pending events after this one (deterministic)
-    int64_t heap_bytes = 0;       // mallinfo2 in-use bytes; -1 if unavailable
+    int64_t heap_bytes = 0;       // mallinfo2 in-use bytes (kHeapSampleEvery); -1 if none
   };
 
   explicit SelfProfiler(Config config);
@@ -124,6 +124,9 @@ class SelfProfiler {
   // on 1 of every kScopeSampleEvery calls and extrapolate; calls are always
   // counted exactly.
   static constexpr uint32_t kScopeSampleEvery = 32;  // power of two
+  // mallinfo2 walks the allocator's arenas, so the heap is read on the first
+  // sample and every kHeapSampleEvery-th after it; others carry the reading.
+  static constexpr int64_t kHeapSampleEvery = 64;
 
   void Add(Count c, int64_t n = 1) { counts_[static_cast<int>(c)] += n; }
 
@@ -252,6 +255,8 @@ class SelfProfiler {
   std::vector<int64_t> node_dispatches_;
   std::vector<Sample> ring_;
   int64_t total_samples_ = 0;
+  int64_t until_heap_ = 1;       // countdown to the next heap reading
+  int64_t heap_bytes_ = -1;      // the last heap reading
   int64_t enabled_wall_ns_ = 0;  // closed enable..disable periods
   int64_t enable_start_ns_ = 0;  // NowNs() at Enable, 0 when disabled
 };

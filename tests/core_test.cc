@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 namespace amber {
@@ -187,6 +188,21 @@ TEST(MobilityTest, HomeNodeResolvesUninitializedDescriptor) {
   });
 }
 
+// Residency is the header's `owner` alone, so a hint that lands in the
+// owner's own table (a compaction racing a move back, say) is shadowed, not
+// obeyed: the chase stops at the owner instead of bouncing between nodes
+// until the hop bound panics with "forwarding chain did not terminate".
+TEST(MobilityTest, HintAtTheOwnerCannotStrandTheObject) {
+  Runtime rt(TestConfig(4, 1));
+  rt.Run([&] {
+    auto c = NewOn<Counter>(1);
+    rt.table(1).SetForward(c.unchecked(), 2);
+    EXPECT_EQ(c.Call(&Counter::WhereAmI), 1);
+    EXPECT_EQ(rt.OwnerOf(c.object()), 1);
+    rt.ValidateLocationInvariants();
+  });
+}
+
 TEST(MobilityTest, MoveToSameNodeIsNoOp) {
   Runtime rt(TestConfig());
   rt.Run([&] {
@@ -293,10 +309,62 @@ TEST(ImmutableTest, MoveToCopiesInsteadOfMoving) {
     MakeImmutable(c);
     MoveTo(c, 2);
     // Original still resident at 0; node 2 holds a replica.
-    EXPECT_EQ(rt.table(0).Lookup(c.unchecked()).state, Residency::kResident);
+    EXPECT_EQ(rt.OwnerOf(c.object()), 0);
     EXPECT_EQ(rt.table(2).Lookup(c.unchecked()).state, Residency::kReplica);
     EXPECT_EQ(rt.replicas_installed(), 1);
     EXPECT_EQ(rt.objects_moved(), 0);
+    rt.ValidateLocationInvariants();
+  });
+}
+
+// A forwarding hint names where an object's bytes were, it does not hold
+// them: MoveTo on an immutable object installs a replica at a destination
+// that knows the object only by a hint (§2.3).
+TEST(ImmutableTest, MoveToReplicatesOverAForwardingHint) {
+  Runtime rt(TestConfig());
+  rt.Run([&] {
+    auto c = New<Counter>();
+    c.Call(&Counter::Add, 42);
+    MoveTo(c, 2);
+    MoveTo(c, 1);  // node 2 keeps a hint to node 1
+    ASSERT_EQ(rt.table(2).Lookup(c.unchecked()).state, Residency::kRemoteHint);
+    MakeImmutable(c);
+    const int64_t installed = rt.replicas_installed();
+    EXPECT_EQ(MoveTo(c, 2), Status::kOk);
+    EXPECT_EQ(rt.replicas_installed(), installed + 1);
+    EXPECT_EQ(rt.table(2).Lookup(c.unchecked()).state, Residency::kReplica);
+    EXPECT_EQ(rt.OwnerOf(c.object()), 1);
+    rt.ValidateLocationInvariants();
+  });
+}
+
+// A caller that knows an immutable object only by a hint has no bytes to
+// send: the holder ships the copy, and the new replica's hint names it.
+TEST(ImmutableTest, MoveToCopiesFromTheHolderNotAHintedCaller) {
+  struct Copies : RuntimeObserver {
+    int64_t min_bytes = std::numeric_limits<int64_t>::max();
+    std::vector<NodeId> sources;  // senders of object-sized frames to node 2
+    void OnMessage(Time, Time, NodeId src, NodeId dst, int64_t bytes) override {
+      if (dst == 2 && bytes >= min_bytes) {
+        sources.push_back(src);
+      }
+    }
+  };
+  Runtime rt(TestConfig());
+  Copies copies;
+  rt.AddObserver(&copies);
+  rt.Run([&] {
+    auto c = New<Counter>();
+    c.Call(&Counter::Add, 42);
+    MoveTo(c, 1);  // node 0, where this thread stays, keeps a hint to node 1
+    MakeImmutable(c);
+    ASSERT_EQ(Here(), 0);
+    copies.min_bytes = static_cast<int64_t>(c.object()->amber_header().size);
+    EXPECT_EQ(MoveTo(c, 2), Status::kOk);
+    EXPECT_EQ(copies.sources, std::vector<NodeId>{1});
+    const Descriptor d = rt.table(2).Lookup(c.unchecked());
+    EXPECT_EQ(d.state, Residency::kReplica);
+    EXPECT_EQ(d.forward, 1);
     rt.ValidateLocationInvariants();
   });
 }

@@ -23,7 +23,6 @@ TEST(DescriptorTableTest, ResidentRoundTrip) {
   DescriptorTable table(2);
   int obj;
   table.SetResident(&obj);
-  EXPECT_TRUE(table.IsResident(&obj));
   EXPECT_EQ(table.Lookup(&obj).state, Residency::kResident);
   EXPECT_EQ(table.entries(), 1u);
 }
@@ -33,7 +32,6 @@ TEST(DescriptorTableTest, ForwardOverwritesResident) {
   int obj;
   table.SetResident(&obj);
   table.SetForward(&obj, 3);
-  EXPECT_FALSE(table.IsResident(&obj));
   const Descriptor d = table.Lookup(&obj);
   EXPECT_EQ(d.state, Residency::kRemoteHint);
   EXPECT_EQ(d.forward, 3);
@@ -54,7 +52,6 @@ TEST(DescriptorTableTest, ReplicaState) {
   int obj;
   table.SetReplica(&obj);
   EXPECT_EQ(table.Lookup(&obj).state, Residency::kReplica);
-  EXPECT_FALSE(table.IsResident(&obj));
 }
 
 TEST(DescriptorTableTest, EraseReturnsToUninitialized) {
@@ -68,7 +65,7 @@ TEST(DescriptorTableTest, EraseReturnsToUninitialized) {
 
 TEST(DescriptorTableTest, LookupCounterTracksChecks) {
   // Every Lookup is counted by the active self-profiler (the count bench_scale
-  // and perfbench publish); IsResident and the setters are not lookups.
+  // and perfbench publish); the setters are not lookups.
   telemetry::SelfProfiler prof(telemetry::SelfProfiler::Config{});
   prof.Enable();
   DescriptorTable table(0);
@@ -78,7 +75,7 @@ TEST(DescriptorTableTest, LookupCounterTracksChecks) {
   for (int i = 0; i < 10; ++i) {
     table.Lookup(&obj);
   }
-  EXPECT_TRUE(table.IsResident(&obj));
+  table.SetForward(&obj, 1);
   EXPECT_EQ(prof.count(telemetry::Count::kDescriptorLookups), before + 10);
 }
 

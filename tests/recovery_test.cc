@@ -145,6 +145,80 @@ TEST(RecoveryTest, CheckpointRestoreHonorsStalenessContract) {
   EXPECT_GE(metrics.CounterTotal("recovery.checkpoints"), 3);
 }
 
+// A node that restarts learns where the objects recovered away from it went:
+// a hint for a mutable object, a replica for an immutable one, each naming
+// the latest owner even when the object was recovered twice while the node
+// was down. A thread on the restarted node then reaches each in one hop.
+TEST(RecoveryTest, RestartedNodeNamesTheOwnersOfObjectsRecoveredAway) {
+  Runtime rt(TestConfig());
+  fault::FaultPlan plan = CrashPlan(/*node=*/3, /*crash_at=*/Millis(35),
+                                    /*restart_at=*/Millis(400));
+  fault::NodeEvent second;
+  second.node = 1;
+  second.crash_at = Millis(200);
+  plan.node_events.push_back(second);
+  fault::Injector injector(plan);
+  RecoveryLog log;
+  rt.AddObserver(&log);
+  rt.SetFaultInjector(&injector);
+  rt.SetFailureHandler([](const FailureEvent&) { return FailureAction::kRecover; });
+  rt.Run([&] {
+    auto anchor0 = New<Counter>();  // ways for main to reach nodes 0, 2, 3
+    auto anchor2 = NewOn<Counter>(2);
+    auto anchor3 = NewOn<Counter>(3);
+    auto m = NewOn<Counter>(3);
+    SetRecoverable(m);
+    m.Call(&Counter::Add, 5);  // main is now on node 3
+    ASSERT_TRUE(Checkpoint(m));
+    auto imm = New<Counter>();  // homed on node 3
+    imm.Call(&Counter::Add, 9);
+    MakeImmutable(imm);
+    ASSERT_EQ(MoveTo(imm, 1), Status::kOk);  // the only replica
+    anchor0.Call(&Counter::Get);               // main back on node 0
+    Work(Millis(100));                         // node 3 dies; suspicion matures
+
+    // Both objects are recovered away from node 3: m onto its buddy (node 0),
+    // imm onto the replica at node 1; reading imm leaves a replica on node 0.
+    EXPECT_EQ(m.Call(&Counter::Get), 5);
+    EXPECT_EQ(imm.Call(&Counter::Get), 9);
+    EXPECT_EQ(rt.OwnerOf(m.object()), 0);
+    EXPECT_EQ(rt.OwnerOf(imm.object()), 1);
+
+    // Node 1 dies too. A read from node 2, which knows imm only by its home
+    // (down node 3), recovers imm a second time: onto node 0's replica.
+    Work(Millis(220));
+    anchor2.Call(&Counter::Get);  // main on node 2
+    EXPECT_EQ(imm.Call(&Counter::Get), 9);
+    EXPECT_EQ(rt.OwnerOf(imm.object()), 0);
+
+    Work(Millis(200));  // node 3 restarts at 400 ms
+    const Descriptor dm = rt.table(3).Lookup(m.unchecked());
+    EXPECT_EQ(dm.state, Residency::kRemoteHint);
+    EXPECT_EQ(dm.forward, 0);
+    const Descriptor di = rt.table(3).Lookup(imm.unchecked());
+    EXPECT_EQ(di.state, Residency::kReplica);
+    EXPECT_EQ(di.forward, 0);
+
+    anchor3.Call(&Counter::Get);  // main on node 3
+    ASSERT_EQ(Here(), 3);
+    const int64_t hops = rt.forward_hops();
+    int64_t migrations = rt.thread_migrations();
+    EXPECT_EQ(m.Call(&Counter::Get), 5);
+    EXPECT_EQ(rt.thread_migrations(), migrations + 1);  // straight to node 0
+    anchor3.Call(&Counter::Get);
+    migrations = rt.thread_migrations();
+    EXPECT_EQ(imm.Call(&Counter::Get), 9);
+    EXPECT_EQ(rt.thread_migrations(), migrations);  // read on the local replica
+    EXPECT_EQ(rt.forward_hops(), hops);
+    rt.ValidateLocationInvariants();
+  });
+  ASSERT_EQ(log.recovered.size(), 3u);
+  EXPECT_EQ(log.recovered[0].from, 3);
+  EXPECT_EQ(log.recovered[1].from, 3);
+  EXPECT_EQ(log.recovered[2].from, 1);
+  EXPECT_EQ(log.recovered[2].to, 0);
+}
+
 TEST(RecoveryTest, LostThreadSurfacesThroughTryJoinAndFinishesAfterRestart) {
   Runtime rt(TestConfig());
   fault::Injector injector(CrashPlan(/*node=*/2, /*crash_at=*/Millis(10),

@@ -239,6 +239,39 @@ TEST(TelemetryTest, SampleRingWrapsKeepingNewestChronologically) {
   }
 }
 
+// The heap figure is read on the first sample and every kHeapSampleEvery-th
+// after it; every sample in between carries the last reading, so each one
+// has a heap figure for amber-top and perfbench's mem.heap_peak_mb.
+TEST(TelemetryTest, EverySampleCarriesTheHeapFigure) {
+  SelfProfiler::Config cfg;
+  cfg.sample_every_events = 1;
+  cfg.ring_capacity = 4096;
+  SelfProfiler prof(cfg);
+  prof.Enable();
+  const int events = 3 * SelfProfiler::kHeapSampleEvery + 5;
+  for (int i = 1; i <= events; ++i) {
+    prof.OnEventLoopIteration(/*virtual_now_ns=*/i * 10, /*queue_depth=*/0);
+  }
+  prof.Disable();
+  const auto samples = prof.SamplesChronological();
+  ASSERT_EQ(samples.size(), static_cast<size_t>(events));
+#if defined(__GLIBC__) && defined(__GLIBC_PREREQ) && __GLIBC_PREREQ(2, 33)
+  const bool have_mallinfo2 = true;
+#else
+  const bool have_mallinfo2 = false;
+#endif
+  for (size_t i = 0; i < samples.size(); ++i) {
+    const int64_t heap = samples[i].heap_bytes;
+    if (have_mallinfo2) {
+      EXPECT_GE(heap, 0) << "sample " << i;  // 0 under ASan, whose allocator glibc does not see
+    } else {
+      EXPECT_EQ(heap, -1) << "sample " << i;
+    }
+    const size_t read_at = i - i % static_cast<size_t>(SelfProfiler::kHeapSampleEvery);
+    EXPECT_EQ(heap, samples[read_at].heap_bytes) << "sample " << i;
+  }
+}
+
 TEST(TelemetryTest, FlushToWritesParseableJsonAtomically) {
   SelfProfiler::Config cfg;
   cfg.sample_every_events = 1;

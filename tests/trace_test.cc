@@ -160,10 +160,10 @@ TEST(TraceTest, DetachStopsRecording) {
 
 // RenderGoldenRun's event count and the hashes of its two outputs. A changed
 // byte in either output changes its hash; re-record them only for a
-// deliberate change to a trace format.
-constexpr size_t kGoldenEvents = 414;
-constexpr uint64_t kGoldenText = 0x4137256d307e11ebULL;
-constexpr uint64_t kGoldenChrome = 0x66b843f1859b5067ULL;
+// deliberate change to a trace format or to the protocol steps the run takes.
+constexpr size_t kGoldenEvents = 485;
+constexpr uint64_t kGoldenText = 0xa0c7d04161494443ULL;
+constexpr uint64_t kGoldenChrome = 0x014b017b44e5d94cULL;
 
 // FNV-1a over a rendered output's bytes.
 uint64_t Fnv1a(const std::string& bytes) {
