@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "src/base/rng.h"
+#include "src/core/amber.h"
 #include "src/kernel/descriptor_table.h"
 #include "src/mem/address_space.h"
 #include "src/mem/region_server.h"
@@ -221,20 +222,119 @@ BENCHMARK(BM_DescriptorUpdate);
 
 // --- Segment allocator --------------------------------------------------------------
 
+// scale's population: 262k Slot-sized blocks (80 bytes usable) carved from
+// 512 nodes' fresh regions in round-robin node order, then freed, so the
+// timing includes the first touch of every page, as a run's populate phase
+// pays it. One block allocated and freed in a hot loop would time a single
+// cached free-list entry.
+constexpr int kAllocNodes = 512;
+constexpr int kBlocksPerNode = 512;
+constexpr size_t kBlockBytes = 80;
+
 void BM_SegmentAllocFree(benchmark::State& state) {
-  mem::GlobalAddressSpace gas(size_t{64} << 20);
-  mem::RegionServer server(&gas, 1, 16);
-  mem::SegmentAllocator alloc(&gas, 0);
-  for (int r = 0; r < 16; ++r) {
-    alloc.AddRegion(r);
-  }
+  std::vector<void*> blocks(size_t{kAllocNodes} * kBlocksPerNode);
   for (auto _ : state) {
-    void* p = alloc.Allocate(128);
-    benchmark::DoNotOptimize(p);
-    alloc.Free(p);
+    state.PauseTiming();
+    mem::GlobalAddressSpace gas(size_t{kAllocNodes} * mem::kRegionSize);
+    mem::RegionServer server(&gas, kAllocNodes, 1);  // node n owns region n
+    std::vector<std::unique_ptr<mem::SegmentAllocator>> allocs;
+    for (int n = 0; n < kAllocNodes; ++n) {
+      allocs.push_back(std::make_unique<mem::SegmentAllocator>(&gas, n));
+      allocs.back()->AddRegion(n);
+    }
+    state.ResumeTiming();
+    for (size_t i = 0; i < blocks.size(); ++i) {
+      blocks[i] = allocs[i % kAllocNodes]->Allocate(kBlockBytes);
+    }
+    benchmark::DoNotOptimize(blocks.data());
+    for (size_t i = 0; i < blocks.size(); ++i) {
+      allocs[i % kAllocNodes]->Free(blocks[i]);
+    }
+    benchmark::ClobberMemory();
+    state.PauseTiming();
+    allocs.clear();
+    state.ResumeTiming();
   }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(blocks.size()));
 }
-BENCHMARK(BM_SegmentAllocFree);
+BENCHMARK(BM_SegmentAllocFree)->Unit(benchmark::kMillisecond);
+
+// --- Object creation ----------------------------------------------------------------
+
+// New<T> end to end at scale's size: 64 nodes, one thread each, creating
+// 4096 objects of one word past Object (perfbench's Slot), 262k in all. Only
+// the creation is timed: from the first creating thread's start to the last
+// one's end, host clock, inside a fresh Runtime per iteration.
+class Slot : public amber::Object {
+ public:
+  explicit Slot(uint64_t v) : value_(v) {}
+  uint64_t value() const { return value_; }
+
+ private:
+  uint64_t value_;
+};
+
+struct CreateClock {
+  std::chrono::steady_clock::time_point start;
+  std::chrono::steady_clock::time_point end;
+  int running = 0;
+  bool started = false;
+};
+
+class Creator : public amber::Object {
+ public:
+  explicit Creator(CreateClock* clock) : clock_(clock) {}
+
+  uint64_t Create(int count) {
+    if (!clock_->started) {
+      clock_->started = true;
+      clock_->start = std::chrono::steady_clock::now();
+    }
+    ++clock_->running;
+    uint64_t sum = 0;
+    for (int i = 0; i < count; ++i) {
+      sum += amber::New<Slot>(static_cast<uint64_t>(i)).unchecked()->value();
+    }
+    if (--clock_->running == 0) {
+      clock_->end = std::chrono::steady_clock::now();
+    }
+    return sum;
+  }
+
+ private:
+  CreateClock* clock_;
+};
+
+void BM_ObjectCreate(benchmark::State& state) {
+  constexpr int kNodes = 64;
+  constexpr int kObjectsPerNode = 4096;
+  amber::Runtime::Config config;
+  config.nodes = kNodes;
+  config.procs_per_node = 1;
+  config.initial_regions_per_node = 1;
+  config.arena_bytes = size_t{256} << 20;
+  uint64_t sum = 0;
+  for (auto _ : state) {
+    CreateClock clock;
+    {
+      amber::Runtime rt(config);
+      rt.Run([&] {
+        std::vector<amber::ThreadRef<uint64_t>> threads;
+        for (int n = 0; n < kNodes; ++n) {
+          auto creator = amber::NewOn<Creator>(n, &clock);
+          threads.push_back(amber::StartThread(creator, &Creator::Create, kObjectsPerNode));
+        }
+        for (auto& t : threads) {
+          sum += t.Join();
+        }
+      });
+    }
+    state.SetIterationTime(std::chrono::duration<double>(clock.end - clock.start).count());
+  }
+  benchmark::DoNotOptimize(sum);
+  state.SetItemsProcessed(state.iterations() * kNodes * kObjectsPerNode);
+}
+BENCHMARK(BM_ObjectCreate)->UseManualTime()->Unit(benchmark::kMillisecond);
 
 // --- Wire serialization ----------------------------------------------------------------
 

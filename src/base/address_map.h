@@ -1,8 +1,8 @@
 // AddressMap: a flat hash map keyed by address.
 //
-// The runtime's per-object state (descriptor tables, the object registry) is
-// found from an object's address on every invocation, so the lookup should
-// cost about one cache line. AddressMap keeps {key, value} slots in one
+// The per-node descriptor tables are found from an object's address whenever
+// the object is not resident where it is invoked, so the lookup should cost
+// about one cache line. AddressMap keeps {key, value} slots in one
 // power-of-two array and uses open addressing with linear probing: a key's
 // home slot is the top bits of its address times a 64-bit odd constant
 // (Fibonacci hashing, which spreads addresses a fixed stride apart evenly),

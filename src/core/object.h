@@ -18,6 +18,7 @@
 #define AMBER_SRC_CORE_OBJECT_H_
 
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "src/kernel/object_header.h"
@@ -60,8 +61,24 @@ class Object {
 
  private:
   friend class Runtime;
+
+  // A copy of the header of the object whose segment starts at `block`, read
+  // without assuming an object is there: a live heap block may be a thread
+  // stack. The header fills the object after its vtable pointer.
+  static ObjectHeader HeaderAt(const void* block) {
+    ObjectHeader h;
+    std::memcpy(&h, static_cast<const char*>(block) + (sizeof(Object) - sizeof(ObjectHeader)),
+                sizeof(h));
+    return h;
+  }
+
   ObjectHeader header_;
 };
+
+// Move bytes derive from sizeof (a primary's segment is its size), so a
+// header field added or widened would silently move virtual time.
+static_assert(sizeof(ObjectHeader) == 56);
+static_assert(sizeof(Object) == 64);
 
 }  // namespace amber
 

@@ -301,7 +301,6 @@ Time Runtime::Run(std::function<void()> main) {
   AMBER_CHECK(pending_.back().primary == t);
   pending_.pop_back();
   t->header_.flags |= kObjThread;
-  t->header_.home = 0;
   t->header_.owner = 0;
   t->header_.size = sizeof(ThreadObject);
   t->name_ = "main";
@@ -398,12 +397,9 @@ void Runtime::OnObjectConstruct(Object* obj) {
         AMBER_CHECK(addr == base) << "Object base must be the first subobject";
         p.primary = obj;
         const NodeId node = sim_->current() != nullptr ? here() : 0;
-        obj->header_.home = gas_->HomeOf(base);
         obj->header_.owner = node;
-        obj->header_.size = p.size;
-        // Creation-sequence id: deterministic program order, unlike the
-        // segment address (DrainNode iteration, fault.unreachable labels).
-        objects_[obj] = ObjectRecord{next_obj_seq_++, 0};
+        obj->header_.size = static_cast<uint32_t>(p.size);
+        obj->header_.seq = next_obj_seq_++;
       } else {
         // A member object (§3.6): co-resident with — and moves with — the
         // containing primary.
@@ -417,9 +413,10 @@ void Runtime::OnObjectConstruct(Object* obj) {
 }
 
 void Runtime::OnObjectDestruct(Object* obj) {
-  // A primary's record goes with it (DeleteObject, a constructor that threw,
-  // or teardown); member/stack objects have none.
-  objects_.Erase(obj);
+  // DeleteObject, a constructor that threw, or teardown: a destroyed object
+  // is no longer swept, and is labelled by node alone.
+  obj->header_.flags &= ~kObjListed;
+  obj->header_.seq = 0;
   checkpoints_.erase(obj);
 }
 
@@ -427,17 +424,28 @@ void Runtime::FinishObjectConstruction(Object* obj) {
   AMBER_CHECK(!pending_.empty() && pending_.back().primary == obj)
       << "FinishObjectConstruction out of order";
   pending_.pop_back();
-  objects_.Find(obj)->listed = 1;  // OnObjectConstruct made the record
+  obj->header_.flags |= kObjListed;
   ++objects_created_;
 }
 
 template <typename Fn>
 void Runtime::ForEachListedObject(Fn&& fn) const {
-  objects_.ForEach([&fn](const void* key, const ObjectRecord& r) {
-    if (r.listed) {
-      fn(const_cast<Object*>(static_cast<const Object*>(key)), uint64_t{r.seq});
-    }
-  });
+  // Blocks are never divided (§3.2), so every block base is a well-formed
+  // record: a primary's header, or a thread stack's base, which holds no
+  // listed header — a fresh region is zero, a stack is written from its top,
+  // and a reused block's last occupant was a stack or a destroyed object.
+  for (const auto& alloc : allocators_) {
+    alloc->WalkBlocks([&fn](const mem::SegmentAllocator::BlockInfo& b) {
+      if (!b.live || b.size < sizeof(Object)) {
+        return;
+      }
+      const ObjectHeader h = Object::HeaderAt(b.base);
+      if (h.magic == ObjectHeader::kMagic && h.IsListed()) {
+        AMBER_DCHECK(h.size <= b.size) << "listed header larger than its block";
+        fn(static_cast<Object*>(b.base), h.seq);
+      }
+    });
+  }
 }
 
 void Runtime::DeleteObject(Object* obj) {
@@ -451,8 +459,15 @@ void Runtime::DeleteObject(Object* obj) {
   sim_->Sync();
   const NodeId node = here();
   AMBER_CHECK(h.owner == node) << "DeleteObject must run where the object is resident";
-  objects_.Find(obj)->listed = 0;
-  tables_[static_cast<size_t>(node)]->Erase(obj);  // a hint left from an earlier visit
+  if (h.IsImmutable()) {
+    // Replicas die with the object: a mutable object that reuses the segment
+    // must not run from a stale copy.
+    for (auto& tab : tables_) {
+      tab->Erase(obj);
+    }
+  } else {
+    tables_[static_cast<size_t>(node)]->Erase(obj);  // a hint left from an earlier visit
+  }
   // Resident nowhere now: a dangling reference misses the residency check's
   // header path and is caught at the home node, wherever it is used.
   h.owner = kNoNode;
@@ -789,8 +804,8 @@ void Runtime::HandleUnreachable(Object* obj, NodeId node, int attempts) {
     // dead node (pointers would not be stable across runs), so the counter
     // says *what* was unreachable, not just where.
     std::string label = "node" + std::to_string(node);
-    if (const ObjectRecord* r = objects_.Find(obj); r != nullptr) {
-      label = "obj" + std::to_string(uint64_t{r->seq}) + "@" + label;
+    if (obj != nullptr && obj->header_.seq != 0) {
+      label = "obj" + std::to_string(obj->header_.seq) + "@" + label;
     }
     metrics_->GetCounter("fault.unreachable", label).Add();
   }
@@ -1495,7 +1510,7 @@ int Runtime::DrainNode(NodeId node) {
   }
   AMBER_CHECK(!targets.empty()) << "no live node to evacuate node " << node << " to";
   // Roots homed on the draining node, in creation order — deterministic,
-  // where the registry's slot order (by address hash) would not be.
+  // where the heap walk's address order would not be.
   std::vector<std::pair<uint64_t, Object*>> roots;
   ForEachListedObject([&roots, node](Object* obj, uint64_t seq) {
     const ObjectHeader& h = obj->header_;
@@ -1595,9 +1610,8 @@ void Runtime::OnNodeEvent(Time when, NodeId node, bool up) {
   DescriptorTable& tab = *tables_[static_cast<size_t>(node)];
   std::vector<Object*>& recovered = recovered_from_[static_cast<size_t>(node)];
   for (Object* obj : recovered) {
-    const ObjectRecord* r = objects_.Find(obj);
     const ObjectHeader& h = obj->header_;
-    if (r == nullptr || !r->listed || h.owner == node) {
+    if (!h.IsListed() || h.owner == node) {
       continue;  // deleted since, or back here again
     }
     if (h.IsImmutable()) {

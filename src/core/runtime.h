@@ -20,7 +20,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/base/address_map.h"
 #include "src/base/time.h"
 #include "src/core/status.h"
 #include "src/fault/fault.h"
@@ -528,7 +527,9 @@ class Runtime {
   // Dense id for a lock/condition address, assigned in first-contention
   // order (deterministic, unlike the address itself).
   int SyncObjectId(const void* obj);
-  // fn(obj, seq) for every listed object, in no particular order (runtime.cc).
+  // fn(obj, seq) for every listed object (a live, fully constructed primary:
+  // header flag kObjListed), found by walking every node's heap blocks.
+  // O(blocks carved): for the rare sweeps (DrainNode, validation) only.
   template <typename Fn>
   void ForEachListedObject(Fn&& fn) const;
 
@@ -542,19 +543,8 @@ class Runtime {
   std::vector<std::unique_ptr<DescriptorTable>> tables_;
   std::vector<PendingAllocation> pending_;   // nested New stack
   std::vector<ThreadObject*> threads_;       // for teardown
-  // One record per primary object, from its construction to its destruction.
-  // The creation-sequence number is the deterministic order for DrainNode and
-  // the object label on fault.unreachable (pointer order would vary with
-  // arena layout). `listed` marks the live primaries, which DrainNode and
-  // validation walk and the restart repair re-aims: set once New finishes
-  // constructing the object, cleared by DeleteObject. The main thread and
-  // objects still under construction have a sequence number but are not
-  // listed. Both fit in one word, so a registry slot is 16 bytes.
-  struct ObjectRecord {
-    uint64_t seq : 63 = 0;
-    uint64_t listed : 1 = 0;
-  };
-  AddressMap<ObjectRecord> objects_;
+  // The next primary's ObjectHeader::seq. The main thread and objects still
+  // under construction have one but are not listed.
   uint64_t next_obj_seq_ = 1;
   int64_t objects_created_ = 0;
   int64_t objects_moved_ = 0;

@@ -7,8 +7,10 @@
 // that page. A single host process has exactly one copy of each address, so
 // the per-node descriptor state lives in per-node DescriptorTables
 // (descriptor_table.h) and this header carries the node-independent part:
-// identity, home node, mobility linkage (attachment tree, §2.3), and the
-// immutability flag.
+// identity (creation number, listed bit), residency, mobility linkage
+// (attachment tree, §2.3), and the immutability flag. The node whose region
+// holds the object is not stored: GlobalAddressSpace::HomeOf(address) is the
+// one answer.
 //
 // `owner` is the one record of residency: the object lives on exactly the
 // node it names; no descriptor table stores residency (DESIGN.md §4). The
@@ -40,6 +42,7 @@ enum ObjectFlags : uint32_t {
   kObjStackLocal = 1u << 2, // stack/auto object: co-resident with its thread (§3.6)
   kObjThread = 1u << 3,     // thread object: co-resident with its fiber (§3.4)
   kObjRecoverable = 1u << 4, // opt-in checkpoint/restore crash recovery (docs/FAULTS.md)
+  kObjListed = 1u << 5,      // a live, fully constructed primary: the sweeps visit it
 };
 
 struct ObjectHeader {
@@ -47,9 +50,12 @@ struct ObjectHeader {
 
   uint32_t magic = 0;
   uint32_t flags = 0;
-  NodeId home = kNoNode;   // node owning the region the object was carved from
   NodeId owner = kNoNode;  // authoritative location; resident there (see above)
-  uint64_t size = 0;       // usable segment size of the primary allocation
+  uint32_t size = 0;       // segment size of the primary allocation (<= one region)
+  // Creation number of a primary, in program order: DrainNode's evacuation
+  // order and the fault.unreachable label (addresses vary with arena layout).
+  // 0 for members, stack-locals and destroyed objects.
+  uint64_t seq = 0;
 
   // For member objects: the primary (containing) object whose location
   // governs this one. Null for primary objects.
@@ -66,6 +72,7 @@ struct ObjectHeader {
   bool IsStackLocal() const { return (flags & kObjStackLocal) != 0; }
   bool IsThread() const { return (flags & kObjThread) != 0; }
   bool IsRecoverable() const { return (flags & kObjRecoverable) != 0; }
+  bool IsListed() const { return (flags & kObjListed) != 0; }
 };
 
 }  // namespace amber

@@ -401,6 +401,29 @@ TEST(ImmutableTest, RemoteReadReplicatesInsteadOfMigrating) {
   });
 }
 
+// Deleting an immutable object deletes its replicas too: a mutable object
+// that reuses the segment must not run from a node's stale copy.
+TEST(ImmutableTest, DeleteDropsReplicasOnEveryNode) {
+  class Caller : public Object {
+   public:
+    NodeId Ask(Ref<Counter> c) { return c.Call(&Counter::WhereAmI); }
+  };
+  Runtime rt(TestConfig());
+  rt.Run([&] {
+    auto c = New<Counter>();
+    MakeImmutable(c);
+    ASSERT_EQ(MoveTo(c, 2), Status::kOk);  // node 2 holds a replica
+    void* addr = c.unchecked();
+    Delete(c);
+    auto d = New<Counter>();  // mutable, on node 0, in the freed segment
+    ASSERT_EQ(static_cast<void*>(d.unchecked()), addr);
+    auto caller = NewOn<Caller>(2);
+    EXPECT_EQ(caller.Call(&Caller::Ask, d), 0);
+    EXPECT_EQ(rt.OwnerOf(d.object()), 0);
+    rt.ValidateLocationInvariants();
+  });
+}
+
 TEST(ObjectTest, DeleteReclaimsSegmentForReuse) {
   Runtime rt(TestConfig(1, 1));
   rt.Run([&] {

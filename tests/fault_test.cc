@@ -130,24 +130,34 @@ TEST(FaultInertnessTest, EmptyPlanChangesNothing) {
   EXPECT_EQ(injector.drops(), 0);
 }
 
-TEST(FaultCrashTest, CrashAndRestartSurviveWithRetryHandler) {
-  Runtime rt(TestConfig());
+// Node 2 crashes at 10 ms, after the object has settled there, and restarts
+// at 60 ms.
+fault::FaultPlan Node2Outage() {
   fault::FaultPlan plan;
   fault::NodeEvent ev;
   ev.node = 2;
-  ev.crash_at = Millis(10);  // after the object has settled on node 2
+  ev.crash_at = Millis(10);
   ev.restart_at = Millis(60);
   plan.node_events.push_back(ev);
-  fault::Injector injector(plan);
-  rt.SetFaultInjector(&injector);
-  // Keep the retransmission budget well under the 59 ms outage, so the
-  // failure handler (not silent transport retries) carries the thread
-  // across the downtime.
+  return plan;
+}
+
+// Keeps the retransmission budget well under Node2Outage's 50 ms, so the
+// failure handler (not silent transport retries) carries the thread across
+// the downtime.
+void UseShortRetries(Runtime& rt) {
   rpc::RetryPolicy policy;
   policy.timeout = Millis(2);
   policy.timeout_cap = Millis(8);
   policy.max_attempts = 3;
   rt.transport().SetRetryPolicy(policy);
+}
+
+TEST(FaultCrashTest, CrashAndRestartSurviveWithRetryHandler) {
+  Runtime rt(TestConfig());
+  fault::Injector injector(Node2Outage());
+  rt.SetFaultInjector(&injector);
+  UseShortRetries(rt);
   int failures_seen = 0;
   rt.SetFailureHandler([&](const FailureEvent& e) {
     ++failures_seen;
@@ -169,6 +179,31 @@ TEST(FaultCrashTest, CrashAndRestartSurviveWithRetryHandler) {
   EXPECT_GT(failures_seen, 0)
       << "drops=" << injector.drops() << " retries=" << rt.transport().retries()
       << " timeouts=" << rt.transport().timeouts() << " end=" << rt.now();
+}
+
+// fault.unreachable names the object by its creation number, which stays
+// right when a new object reuses a deleted one's segment.
+TEST(FaultCrashTest, UnreachableLabelNamesTheObjectByCreationNumber) {
+  Runtime rt(TestConfig());
+  fault::Injector injector(Node2Outage());
+  metrics::Registry metrics;
+  rt.SetMetrics(&metrics);
+  rt.SetFaultInjector(&injector);
+  UseShortRetries(rt);
+  rt.SetFailureHandler([](const FailureEvent&) { return FailureAction::kRetry; });
+  rt.Run([&] {
+    auto gone = New<Counter>();  // object 2; the main thread is object 1
+    void* addr = gone.unchecked();
+    Delete(gone);
+    auto c = New<Counter>();  // object 3, in object 2's segment
+    ASSERT_EQ(static_cast<void*>(c.unchecked()), addr);
+    ASSERT_EQ(MoveTo(c, 2), Status::kOk);
+    Work(Millis(12));  // node 2 crashes
+    EXPECT_EQ(c.Call(&Counter::Add, 1), 1);
+  });
+  const int64_t unreachable = metrics.CounterTotal("fault.unreachable");
+  EXPECT_GT(unreachable, 0);
+  EXPECT_EQ(metrics.GetCounter("fault.unreachable", "obj3@node2").value(), unreachable);
 }
 
 TEST(FaultStatusTest, MoveToDeadNodeReturnsUnreachable) {

@@ -306,5 +306,59 @@ TEST(RecoveryTest, DrainNodeSendsRootsRoundRobinInCreationOrder) {
   });
 }
 
+// Creates objects and threads from the node it lives on, so their segments
+// and stacks come from that node's heap.
+class Site : public Object {
+ public:
+  Ref<Counter> Make() { return New<Counter>(); }
+  int Idle() { return 1; }
+  int StartAndJoin() { return StartThread(Ref<Site>(this), &Site::Idle).Join(); }
+  ThreadRef<int64_t> StartWaiter(Ref<Barrier> b) {
+    return StartThread(Ref<Site>(this), &Site::Wait, b);
+  }
+  int64_t Wait(Ref<Barrier> b) { return b.Call(&Barrier::Wait); }
+};
+
+// Node 1's heap holds every kind of block a drain must tell apart: roots,
+// an attached child, an immutable primary, a deleted object's free block,
+// thread objects, a joined thread's freed stack and a blocked thread's live
+// stack. Only the six roots move.
+TEST(RecoveryTest, DrainNodeFindsRootsAmongEveryKindOfHeapBlock) {
+  Runtime rt(TestConfig());
+  rt.Run([&] {
+    auto site = NewOn<Site>(1);
+    auto a = site.Call(&Site::Make);
+    auto b = site.Call(&Site::Make);
+    auto parent = site.Call(&Site::Make);
+    auto child = site.Call(&Site::Make);
+    Attach(child, parent);
+    auto imm = site.Call(&Site::Make);
+    imm.Call(&Counter::Add, 7);
+    MakeImmutable(imm);
+    Delete(site.Call(&Site::Make));
+    ASSERT_EQ(site.Call(&Site::StartAndJoin), 1);
+    auto barrier = New<Barrier>(2);
+    ASSERT_EQ(rt.OwnerOf(barrier.object()), 1);  // root-frame calls leave this thread on node 1
+    auto waiter = site.Call(&Site::StartWaiter, barrier);
+    Work(Millis(1));  // the waiter blocks at the barrier
+    b.Call(&Counter::Add, 2);
+    const NodeId home = rt.address_space().HomeOf(a.unchecked());
+    ASSERT_EQ(home, 1);
+
+    EXPECT_EQ(DrainNode(1), 6);  // site, a, b, parent, imm, barrier
+    for (Object* o : {site.object(), a.object(), b.object(), parent.object(), imm.object(),
+                      barrier.object()}) {
+      EXPECT_NE(rt.OwnerOf(o), 1);
+    }
+    EXPECT_EQ(Locate(child), Locate(parent));
+    EXPECT_EQ(b.Call(&Counter::Get), 2);
+    EXPECT_EQ(imm.Call(&Counter::Get), 7);
+    rt.ValidateLocationInvariants();
+    barrier.Call(&Barrier::Wait);
+    waiter.Join();
+    rt.ValidateLocationInvariants();
+  });
+}
+
 }  // namespace
 }  // namespace amber
