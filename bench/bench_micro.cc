@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <deque>
 #include <memory>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "src/mem/region_server.h"
 #include "src/mem/segment_alloc.h"
 #include "src/rpc/wire.h"
+#include "src/rtrace/rtrace.h"
 #include "src/sim/context.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/kernel.h"
@@ -335,6 +337,98 @@ void BM_ObjectCreate(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kNodes * kObjectsPerNode);
 }
 BENCHMARK(BM_ObjectCreate)->UseManualTime()->Unit(benchmark::kMillisecond);
+
+// --- Request tracing ---------------------------------------------------------------------
+
+// rtrace on a serve-like run: 4 nodes x 2 processors, one driver per node
+// starting 1024 request threads (4096 in all, at most 16 in flight per
+// driver), each making one call into a shard on the next node. Timed from
+// the first request to the last one's join, host clock, inside a fresh
+// Runtime per iteration; the argument is the tracer's sample_every (5 as in
+// serve, 1 traces every request, 0 attaches it without sampling).
+constexpr int kTracedNodes = 4;
+constexpr int kRequestsPerDriver = 1024;
+constexpr size_t kInflightPerDriver = 16;
+
+class RequestShard : public amber::Object {
+ public:
+  int Handle(int key) {
+    amber::Work(amber::Micros(20));
+    return key & 7;
+  }
+};
+
+class RequestDriver : public amber::Object {
+ public:
+  RequestDriver(rtrace::Tracer* tracer, amber::Ref<RequestShard> shard)
+      : tracer_(tracer), shard_(shard) {}
+
+  int64_t Drive() {
+    std::deque<amber::ThreadRef<int>> inflight;
+    int64_t sum = 0;
+    for (int i = 0; i < kRequestsPerDriver; ++i) {
+      if (inflight.size() == kInflightPerDriver) {
+        sum += inflight.front().Join();
+        inflight.pop_front();
+      }
+      tracer_->OpenRequest("get");
+      inflight.push_back(amber::StartThread(shard_, &RequestShard::Handle, i));
+    }
+    for (auto& t : inflight) {
+      sum += t.Join();
+    }
+    return sum;
+  }
+
+ private:
+  rtrace::Tracer* tracer_;
+  amber::Ref<RequestShard> shard_;
+};
+
+void BM_TracedRequests(benchmark::State& state) {
+  amber::Runtime::Config config;
+  config.nodes = kTracedNodes;
+  config.procs_per_node = 2;
+  config.arena_bytes = size_t{128} << 20;
+  int64_t sum = 0;
+  for (auto _ : state) {
+    rtrace::Tracer tracer({.name = "micro", .sample_every = static_cast<uint64_t>(state.range(0))});
+    std::chrono::steady_clock::time_point start;
+    std::chrono::steady_clock::time_point end;
+    {
+      amber::Runtime rt(config);
+      tracer.AttachTo(rt);
+      rt.Run([&] {
+        std::vector<amber::Ref<RequestDriver>> drivers;
+        for (int n = 0; n < kTracedNodes; ++n) {
+          auto shard = amber::NewOn<RequestShard>((n + 1) % kTracedNodes);
+          drivers.push_back(amber::NewOn<RequestDriver>(n, &tracer, shard));
+        }
+        start = std::chrono::steady_clock::now();
+        std::vector<amber::ThreadRef<int64_t>> threads;
+        for (auto& d : drivers) {
+          threads.push_back(amber::StartThread(d, &RequestDriver::Drive));
+        }
+        for (auto& t : threads) {
+          sum += t.Join();
+        }
+        end = std::chrono::steady_clock::now();
+      });
+    }
+    state.SetIterationTime(std::chrono::duration<double>(end - start).count());
+  }
+  benchmark::DoNotOptimize(sum);
+  const int64_t requests = state.iterations() * kTracedNodes * kRequestsPerDriver;
+  state.SetItemsProcessed(requests);
+  state.counters["per_request"] = benchmark::Counter(
+      static_cast<double>(requests), benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_TracedRequests)
+    ->Arg(5)
+    ->Arg(1)
+    ->Arg(0)
+    ->UseManualTime()
+    ->Unit(benchmark::kMillisecond);
 
 // --- Wire serialization ----------------------------------------------------------------
 

@@ -248,7 +248,7 @@ bool ClosureExact(const rtrace::Tracer& tracer, const char* what) {
       continue;
     }
     amber::Duration sum = 0;
-    for (const auto& [cat, ns] : t.attribution) {
+    for (const amber::Duration ns : t.attribution) {
       sum += ns;
     }
     if (sum != t.latency()) {

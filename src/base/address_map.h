@@ -1,4 +1,4 @@
-// AddressMap: a flat hash map keyed by address.
+// AddressMap: a flat hash map keyed by address (or by a nonzero integer id).
 //
 // The per-node descriptor tables are found from an object's address whenever
 // the object is not resident where it is invoked, so the lookup should cost
@@ -10,16 +10,18 @@
 // Erase shifts the rest of the cluster back into the hole instead of leaving
 // a tombstone, so probe lengths depend only on the entries present.
 //
-// The null address marks an empty slot and is never stored (Find and Erase
-// treat it as absent). Nothing is allocated until the first insert. The
-// table doubles when an insert would take it past three quarters full, and
-// never shrinks.
+// The key type K is a pointer (the default, `const void*`) or an unsigned
+// integer such as a thread id; sequential ids spread as evenly as addresses
+// a fixed stride apart. The zero key (the null address, id 0) marks an empty
+// slot and is never stored (Find and Erase treat it as absent). Nothing is
+// allocated until the first insert. The table doubles when an insert would
+// take it past three quarters full, and never shrinks.
 //
 // Inserting or erasing moves entries: a pointer returned by Find or
 // operator[] is invalidated by the next insert or erase, and a ForEach
 // callback must not insert into or erase from the map it is iterating.
-// ForEach visits entries in slot order, which depends on the addresses and
-// on the map's history; a caller that needs a deterministic order sorts.
+// ForEach visits entries in slot order, which depends on the keys and on
+// the map's history; a caller that needs a deterministic order sorts.
 
 #ifndef AMBER_SRC_BASE_ADDRESS_MAP_H_
 #define AMBER_SRC_BASE_ADDRESS_MAP_H_
@@ -28,34 +30,45 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <type_traits>
+#include <utility>
 
 #include "src/base/panic.h"
 
 namespace amber {
 
-template <typename V>
+template <typename V, typename K = const void*>
 class AddressMap {
+  static_assert(std::is_pointer_v<K> || std::is_unsigned_v<K>,
+                "AddressMap keys are pointers or unsigned integer ids");
+
  public:
   size_t size() const { return size_; }
   size_t capacity() const { return slots_ == nullptr ? 0 : mask_ + 1; }
 
   // The slot the probe for `key` starts at, in the current table (capacity()
   // must be nonzero). Exposed so tests can build colliding keys.
-  size_t HomeOf(const void* key) const {
-    return static_cast<size_t>((reinterpret_cast<uintptr_t>(key) * kHashMultiplier) >> shift_);
+  size_t HomeOf(K key) const {
+    uint64_t bits;
+    if constexpr (std::is_pointer_v<K>) {
+      bits = reinterpret_cast<uintptr_t>(key);
+    } else {
+      bits = key;
+    }
+    return static_cast<size_t>((bits * kHashMultiplier) >> shift_);
   }
 
-  V* Find(const void* key) {
+  V* Find(K key) {
     return const_cast<V*>(static_cast<const AddressMap*>(this)->Find(key));
   }
 
-  const V* Find(const void* key) const {
+  const V* Find(K key) const {
     if (size_ == 0) {
       return nullptr;
     }
     for (size_t i = HomeOf(key);; i = (i + 1) & mask_) {
       const Slot& s = slots_[i];
-      if (s.key == nullptr) {
+      if (s.key == K{}) {
         return nullptr;
       }
       if (s.key == key) {
@@ -65,8 +78,8 @@ class AddressMap {
   }
 
   // The value for `key`, value-initialized by this call if it was absent.
-  V& operator[](const void* key) {
-    AMBER_DCHECK(key != nullptr) << "AddressMap keys must be non-null";
+  V& operator[](K key) {
+    AMBER_DCHECK(key != K{}) << "AddressMap keys must be nonzero";
     if (slots_ != nullptr) {
       Slot* s = Probe(key);
       if (s->key == key) {
@@ -81,13 +94,13 @@ class AddressMap {
   }
 
   // Removes `key`; returns whether it was present.
-  bool Erase(const void* key) {
+  bool Erase(K key) {
     if (size_ == 0) {
       return false;
     }
     size_t hole = HomeOf(key);
     for (;; hole = (hole + 1) & mask_) {
-      if (slots_[hole].key == nullptr) {
+      if (slots_[hole].key == K{}) {
         return false;
       }
       if (slots_[hole].key == key) {
@@ -97,10 +110,10 @@ class AddressMap {
     // Backward-shift deletion: walk the rest of the cluster and move back
     // every entry whose home slot does not lie cyclically in (hole, j], so
     // no probe sequence runs into a gap before reaching its key.
-    for (size_t j = (hole + 1) & mask_; slots_[j].key != nullptr; j = (j + 1) & mask_) {
+    for (size_t j = (hole + 1) & mask_; slots_[j].key != K{}; j = (j + 1) & mask_) {
       const size_t home = HomeOf(slots_[j].key);
       if (((j - home) & mask_) >= ((j - hole) & mask_)) {
-        slots_[hole] = slots_[j];
+        slots_[hole] = std::move(slots_[j]);
         hole = j;
       }
     }
@@ -116,7 +129,7 @@ class AddressMap {
       return;
     }
     for (size_t i = 0; i <= mask_; ++i) {
-      if (slots_[i].key != nullptr) {
+      if (slots_[i].key != K{}) {
         fn(slots_[i].key, slots_[i].value);
       }
     }
@@ -129,20 +142,20 @@ class AddressMap {
   static constexpr size_t kMaxLoadDen = 4;
 
   struct Slot {
-    const void* key = nullptr;
+    K key{};
     V value{};
   };
 
   // The slot holding `key`, or the empty slot where it would go.
-  Slot* Probe(const void* key) {
+  Slot* Probe(K key) {
     size_t i = HomeOf(key);
-    while (slots_[i].key != key && slots_[i].key != nullptr) {
+    while (slots_[i].key != key && slots_[i].key != K{}) {
       i = (i + 1) & mask_;
     }
     return &slots_[i];
   }
 
-  V& Fill(Slot* s, const void* key) {
+  V& Fill(Slot* s, K key) {
     s->key = key;
     ++size_;
     return s->value;
@@ -156,8 +169,8 @@ class AddressMap {
     mask_ = new_capacity - 1;
     shift_ = 64 - std::countr_zero(new_capacity);
     for (size_t i = 0; i < old_capacity; ++i) {
-      if (old[i].key != nullptr) {
-        *Probe(old[i].key) = old[i];
+      if (old[i].key != K{}) {
+        *Probe(old[i].key) = std::move(old[i]);
       }
     }
   }

@@ -611,6 +611,10 @@ void Runtime::EnsureResident(Object* obj, int64_t payload_bytes) {
   const bool faulty = rpc_->reliability_enabled();
   // (node, stale hint) pairs visited on the way, for path compaction.
   std::vector<std::pair<NodeId, NodeId>> visited;
+  if (!chase_paths_.empty()) {
+    visited = std::move(chase_paths_.back());
+    chase_paths_.pop_back();
+  }
   int hops = 0;
   // Hops since the chased object's `owner` last changed: the bound below
   // catches a chain that never reaches an object standing still, not a
@@ -687,6 +691,8 @@ void Runtime::EnsureResident(Object* obj, int64_t payload_bytes) {
       net_->Send(final_node, v, kHintUpdateBytes, sim_->Now());
     }
   }
+  visited.clear();
+  chase_paths_.push_back(std::move(visited));
   t->resolving_ = false;
 }
 

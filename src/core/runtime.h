@@ -18,6 +18,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/base/time.h"
@@ -551,6 +552,10 @@ class Runtime {
   int64_t replicas_installed_ = 0;
   int64_t thread_migrations_ = 0;
   int64_t forward_hops_ = 0;
+  // Path-compaction lists for EnsureResident's chases: a chase takes one and
+  // gives it back, emptied, with its capacity. One per chase in progress, not
+  // one shared list, because a chase yields inside TravelThread.
+  std::vector<std::vector<std::pair<NodeId, NodeId>>> chase_paths_;
   std::vector<int64_t> migration_matrix_;  // nodes x nodes, row = source
   metrics::Registry* metrics_ = nullptr;
   fault::Injector* injector_ = nullptr;

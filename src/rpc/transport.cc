@@ -78,11 +78,11 @@ RoundtripResult Transport::Roundtrip(NodeId dst, int64_t request_bytes,
   AMBER_CHECK(dst != src) << "roundtrip to self";
   // Trace-context piggyback: an empty frame (untraced request, or no hook)
   // adds zero bytes and triggers no arrival callback — byte-exact.
-  std::vector<uint8_t> ctx;
+  TraceFrame ctx;
   if (trace_hook_ != nullptr) {
     ctx = trace_hook_->ContextFrame(f->id, src, dst);
   }
-  const int64_t wire_bytes = request_bytes + static_cast<int64_t>(ctx.size());
+  const int64_t wire_bytes = request_bytes + ctx.size;
   const Time depart = ChargeSendPath(wire_bytes);
   ++roundtrips_;
   const uint64_t id = next_rpc_id_++;
@@ -116,11 +116,11 @@ RoundtripResult Transport::RoundtripReliable(NodeId dst, int64_t request_bytes,
   const uint64_t id = next_rpc_id_++;
   // Queried once: every retransmission re-carries the identical context
   // frame, so a request that only lands on attempt k still arrives tagged.
-  std::vector<uint8_t> ctx;
+  TraceFrame ctx;
   if (trace_hook_ != nullptr) {
     ctx = trace_hook_->ContextFrame(f->id, src, dst);
   }
-  const int64_t wire_bytes = request_bytes + static_cast<int64_t>(ctx.size());
+  const int64_t wire_bytes = request_bytes + ctx.size;
   auto st = std::make_shared<RtState>();
   st->requester = f;
 
@@ -237,11 +237,11 @@ TravelResult Transport::Travel(NodeId dst, int64_t payload_bytes) {
   // The migrating thread's context rides its own carrier frame, so a traced
   // request's identity survives the hop even though the fiber's host-side
   // state never leaves the process.
-  std::vector<uint8_t> ctx;
+  TraceFrame ctx;
   if (trace_hook_ != nullptr) {
     ctx = trace_hook_->ContextFrame(f->id, src, dst);
   }
-  const int64_t wire_bytes = payload_bytes + static_cast<int64_t>(ctx.size());
+  const int64_t wire_bytes = payload_bytes + ctx.size;
   if (!reliable_) {
     const Time depart = ChargeSendPath(wire_bytes);
     ++travels_;

@@ -29,10 +29,11 @@
 #ifndef AMBER_SRC_RPC_TRANSPORT_H_
 #define AMBER_SRC_RPC_TRANSPORT_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <unordered_map>
-#include <vector>
 
 #include "src/net/network.h"
 #include "src/sim/kernel.h"
@@ -76,6 +77,17 @@ struct RetryPolicy {
   }
 };
 
+// A trace-context frame as it rides the wire: up to kCapacity bytes, held
+// inline, so building or copying one never allocates. size == 0 is the
+// empty frame: the request is not traced.
+struct TraceFrame {
+  static constexpr size_t kCapacity = 23;
+  uint8_t size = 0;
+  std::array<uint8_t, kCapacity> bytes{};
+
+  bool empty() const { return size == 0; }
+};
+
 // Trace-context piggybacking (src/rtrace). The hook is consulted once per
 // Roundtrip/Travel on the requesting fiber; the returned frame rides every
 // transmission of that operation (a retransmission re-carries the identical
@@ -83,16 +95,18 @@ struct RetryPolicy {
 // consumed — service execution for roundtrips, fiber arrival for travels.
 // An empty frame means "this request is not traced" and leaves the
 // operation byte-exact: no extra payload bytes, no arrival callback, no
-// events. With no hook attached the transport never even asks.
+// events. With no hook attached the transport never even asks, and the
+// frame it carries stays empty.
 class TraceHook {
  public:
   virtual ~TraceHook() = default;
-  // Encoded context to piggyback for `requester` (the blocked fiber's id),
-  // or {} for an untraced request.
-  virtual std::vector<uint8_t> ContextFrame(uint64_t requester, NodeId src, NodeId dst) = 0;
+  // The context to piggyback for `requester` (the blocked fiber's id), or
+  // an empty frame for an untraced request. Returned by value: a frame is
+  // a few bytes plus its length.
+  virtual TraceFrame ContextFrame(uint64_t requester, NodeId src, NodeId dst) = 0;
   // A tagged frame's payload reached `node` (ordered point, event or fiber
-  // context). `frame` is exactly the bytes ContextFrame returned.
-  virtual void OnContextArrive(Time when, NodeId node, const std::vector<uint8_t>& frame) {}
+  // context). `frame` is exactly what ContextFrame returned.
+  virtual void OnContextArrive(Time when, NodeId node, const TraceFrame& frame) {}
 };
 
 class Transport {

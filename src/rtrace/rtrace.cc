@@ -1,9 +1,11 @@
 #include "src/rtrace/rtrace.h"
 
 #include <algorithm>
+#include <cstring>
+#include <iterator>
 
 #include "src/base/json.h"
-#include "src/rpc/wire.h"
+#include "src/base/panic.h"
 
 namespace rtrace {
 namespace {
@@ -12,9 +14,10 @@ using amber::json::Quote;
 
 // Every completed trace carries all categories (zero included), so dumps
 // diff cleanly and consumers need no key-existence checks. Indexed by
-// Tracer::Category.
+// Category.
 constexpr const char* kCategories[] = {"compute", "join",     "lock",  "migration", "other",
                                        "queue",   "recovery", "retry", "rpc"};
+static_assert(std::size(kCategories) == kCategoryCount);
 
 }  // namespace
 
@@ -38,22 +41,29 @@ const char* SpanKindName(SpanKind kind) {
   return "?";
 }
 
-std::vector<uint8_t> EncodeContext(const TraceContext& ctx) {
-  rpc::WireBuffer w;
-  w.PutU8(ctx.version);
-  w.PutU64(ctx.trace_id);
-  w.PutU64(ctx.span_id);
-  w.PutU8(ctx.flags);
-  return w.bytes();
+// The fields sit at fixed offsets in host byte order, as rpc::WireBuffer
+// lays out a record.
+rpc::TraceFrame EncodeContext(const TraceContext& ctx) {
+  rpc::TraceFrame frame;
+  frame.size = kContextV1Bytes;
+  uint8_t* p = frame.bytes.data();
+  p[0] = ctx.version;
+  std::memcpy(p + 1, &ctx.trace_id, sizeof(ctx.trace_id));
+  std::memcpy(p + 9, &ctx.span_id, sizeof(ctx.span_id));
+  p[17] = ctx.flags;
+  return frame;
 }
 
-TraceContext DecodeContext(const std::vector<uint8_t>& bytes) {
-  rpc::WireBuffer r(bytes);
+TraceContext DecodeContext(const rpc::TraceFrame& frame) {
+  AMBER_CHECK(frame.size >= kContextV1Bytes)
+      << "trace context underrun: need " << kContextV1Bytes << " bytes, have "
+      << static_cast<int>(frame.size);
+  const uint8_t* p = frame.bytes.data();
   TraceContext ctx;
-  ctx.version = r.GetU8();
-  ctx.trace_id = r.GetU64();
-  ctx.span_id = r.GetU64();
-  ctx.flags = r.GetU8();
+  ctx.version = p[0];
+  std::memcpy(&ctx.trace_id, p + 1, sizeof(ctx.trace_id));
+  std::memcpy(&ctx.span_id, p + 9, sizeof(ctx.span_id));
+  ctx.flags = p[17];
   return ctx;
 }
 
@@ -77,7 +87,7 @@ uint64_t Tracer::OpenRequest(const std::string& name) {
   }
   ++requests_sampled_;
   const uint64_t trace_id = next_trace_id_++;
-  armed_[f->id] = ArmedRequest{name, trace_id};
+  armed_[f->id] = ArmedRequest{Intern(name), trace_id};
   return trace_id;
 }
 
@@ -89,16 +99,16 @@ uint64_t Tracer::CurrentTraceId() const {
   if (f == nullptr) {
     return 0;
   }
-  auto it = threads_.find(f->id);
-  return it != threads_.end() ? it->second.trace_id : 0;
+  const ThreadCtx* ctx = Ctx(f->id);
+  return ctx != nullptr ? ctx->trace_id : 0;
 }
 
 uint64_t Tracer::CurrentSpanOf(ThreadId thread) const {
-  auto it = threads_.find(thread);
-  if (it == threads_.end() || it->second.span_stack.empty()) {
+  const ThreadCtx* ctx = Ctx(thread);
+  if (ctx == nullptr || ctx->span_stack.empty()) {
     return 0;
   }
-  return it->second.span_stack.back();
+  return ctx->span_stack.back();
 }
 
 const Trace* Tracer::FindTrace(uint64_t trace_id) const {
@@ -106,26 +116,68 @@ const Trace* Tracer::FindTrace(uint64_t trace_id) const {
   return it != traces_.end() ? &it->second : nullptr;
 }
 
-Trace* Tracer::TraceOf(ThreadCtx& ctx) {
-  auto it = traces_.find(ctx.trace_id);
-  return it != traces_.end() ? &it->second : nullptr;
+Tracer::ThreadCtx* Tracer::Ctx(ThreadId thread) const {
+  ThreadCtx* const* ctx = live_.Find(thread);
+  return ctx != nullptr ? *ctx : nullptr;
 }
 
-Tracer::ThreadCtx* Tracer::Ctx(ThreadId thread) {
-  auto it = threads_.find(thread);
-  return it != threads_.end() ? &it->second : nullptr;
+Tracer::ThreadCtx& Tracer::BindContext(ThreadId thread) {
+  ThreadCtx* ctx;
+  if (free_contexts_.empty()) {
+    ctx = contexts_.emplace_back(std::make_unique<ThreadCtx>()).get();
+  } else {
+    ctx = free_contexts_.back();
+    free_contexts_.pop_back();
+  }
+  live_[thread] = ctx;
+  return *ctx;
+}
+
+void Tracer::ReleaseContext(ThreadId thread, ThreadCtx& ctx) {
+  live_.Erase(thread);
+  std::vector<uint64_t> stack = std::move(ctx.span_stack);
+  stack.clear();
+  ctx = ThreadCtx{};
+  ctx.span_stack = std::move(stack);
+  free_contexts_.push_back(&ctx);
+}
+
+Trace& Tracer::OpenTrace(uint64_t trace_id) {
+  if (spare_traces_.empty()) {
+    Trace& t = traces_.try_emplace(traces_.end(), trace_id)->second;
+    t.trace_id = trace_id;
+    return t;
+  }
+  TraceMap::node_type node = std::move(spare_traces_.back());
+  spare_traces_.pop_back();
+  node.key() = trace_id;
+  Trace& t = node.mapped();
+  std::vector<Span> spans = std::move(t.spans);
+  spans.clear();
+  t = Trace{};
+  t.trace_id = trace_id;
+  t.spans = std::move(spans);
+  traces_.insert(traces_.end(), std::move(node));
+  return t;
+}
+
+std::string_view Tracer::Intern(const std::string& text) {
+  auto it = labels_.find(text);
+  if (it == labels_.end()) {
+    it = labels_.insert(text).first;
+  }
+  return *it;
 }
 
 uint64_t Tracer::AddSpan(ThreadCtx& ctx, SpanKind kind, Time start, Time end, NodeId node,
-                         ThreadId thread, const std::string& label, int64_t aux,
-                         uint64_t parent) {
+                         ThreadId thread, std::string_view label, int64_t aux) {
   Trace* t = TraceOf(ctx);
   if (t == nullptr) {
     return 0;
   }
-  Span s;
+  Span& s = t->spans.emplace_back();
   s.id = next_span_id_++;
-  s.parent = parent != 0 ? parent : (ctx.span_stack.empty() ? 0 : ctx.span_stack.back());
+  s.parent = ctx.span_stack.empty() ? 0 : ctx.span_stack.back();
   s.kind = kind;
   s.start = start;
   s.end = end;
@@ -133,27 +185,24 @@ uint64_t Tracer::AddSpan(ThreadCtx& ctx, SpanKind kind, Time start, Time end, No
   s.thread = thread;
   s.label = label;
   s.aux = aux;
-  t->spans.push_back(std::move(s));
-  return t->spans.back().id;
+  return s.id;
 }
 
 Span* Tracer::FindSpan(Trace& trace, uint64_t span_id) {
-  for (Span& s : trace.spans) {
-    if (s.id == span_id) {
-      return &s;
-    }
-  }
-  return nullptr;
+  auto it = std::lower_bound(trace.spans.begin(), trace.spans.end(), span_id,
+                             [](const Span& s, uint64_t id) { return s.id < id; });
+  return it != trace.spans.end() && it->id == span_id ? &*it : nullptr;
 }
 
 void Tracer::CloseSegment(ThreadCtx& ctx, Time when, Category category) {
   // Consecutive segment deltas telescope, so the category sums equal
-  // end - start *exactly* no matter how the run interleaved.
-  *ctx.attribution[category] += when - ctx.seg_start;
+  // end - start *exactly* no matter how the run interleaved. A root's trace
+  // is never evicted before the root exits, so its record is its own.
+  ctx.record->attribution[category] += when - ctx.seg_start;
   ctx.seg_start = when;
 }
 
-Tracer::Category Tracer::BlockedCategory(const ThreadCtx& ctx) const {
+Category Tracer::BlockedCategory(const ThreadCtx& ctx) const {
   if (ctx.recovery_depth > 0) {
     return kRecovery;
   }
@@ -183,41 +232,55 @@ void Tracer::FinishTrace(ThreadCtx& ctx, Time when) {
   t->done = true;
   // Force-close anything the root left open (its own spans only — a child
   // thread outliving the request keeps recording into the trace until it
-  // exits, but the request is over).
+  // exits or the trace is evicted, but the request is over).
   for (Span& s : t->spans) {
     if (s.end == 0 && s.thread == t->root_thread) {
       s.end = when;
     }
   }
-  completion_order_.push_back(t->trace_id);
+  if (completed_count_ == completed_.size()) {
+    // The ring is full: unroll it (oldest first) and grow it at the back.
+    std::rotate(completed_.begin(),
+                completed_.begin() + static_cast<std::ptrdiff_t>(completed_head_),
+                completed_.end());
+    completed_head_ = 0;
+    completed_.push_back(t->trace_id);
+  } else {
+    completed_[(completed_head_ + completed_count_) % completed_.size()] = t->trace_id;
+  }
+  ++completed_count_;
   EvictIfOverCapacity();
 }
 
 void Tracer::EvictIfOverCapacity() {
-  while (completion_order_.size() > config_.max_traces) {
-    const uint64_t victim = completion_order_.front();
-    completion_order_.pop_front();
-    traces_.erase(victim);
+  while (completed_count_ > config_.max_traces) {
+    const uint64_t victim = completed_[completed_head_];
+    completed_head_ = (completed_head_ + 1) % completed_.size();
+    --completed_count_;
+    TraceMap::node_type node = traces_.extract(victim);
+    // A context or rpc still naming the victim must find no trace from now
+    // on, also once this record is reused (OpenTrace gives it a new id).
+    node.mapped().trace_id = 0;
+    spare_traces_.push_back(std::move(node));
     ++traces_evicted_;
   }
 }
 
 // --- rpc::TraceHook ------------------------------------------------------------
 
-std::vector<uint8_t> Tracer::ContextFrame(uint64_t requester, NodeId src, NodeId dst) {
-  auto it = threads_.find(requester);
-  if (it == threads_.end()) {
+rpc::TraceFrame Tracer::ContextFrame(uint64_t requester, NodeId src, NodeId dst) {
+  const ThreadCtx* ctx = Ctx(requester);
+  if (ctx == nullptr) {
     return {};  // untraced request: zero extra bytes on the wire
   }
-  const ThreadCtx& ctx = it->second;
   TraceContext tc;
-  tc.trace_id = ctx.trace_id;
-  tc.span_id = ctx.span_stack.empty() ? 0 : ctx.span_stack.back();
+  tc.trace_id = ctx->trace_id;
+  tc.span_id = ctx->span_stack.empty() ? 0 : ctx->span_stack.back();
   tc.flags = kContextFlagSampled;
   return EncodeContext(tc);
 }
 
-void Tracer::OnContextArrive(Time when, NodeId node, const std::vector<uint8_t>& frame) {
+void Tracer::OnContextArrive(Time when, NodeId node, const rpc::TraceFrame& frame) {
   const TraceContext ctx = DecodeContext(frame);
   auto it = traces_.find(ctx.trace_id);
   if (!ctx.sampled() || it == traces_.end()) {
@@ -232,45 +295,39 @@ void Tracer::OnContextArrive(Time when, NodeId node, const std::vector<uint8_t>&
 
 void Tracer::OnThreadCreate(Time when, NodeId node, ThreadId thread, const std::string& name,
                             ThreadId parent) {
-  auto armed = armed_.find(parent);
-  if (armed != armed_.end()) {
+  if (const ArmedRequest* armed = armed_.Find(parent)) {
     // This create is the request root the parent announced with OpenRequest.
-    const ArmedRequest req = armed->second;
-    armed_.erase(armed);
-    Trace& t = traces_[req.trace_id];
-    t.trace_id = req.trace_id;
+    const ArmedRequest req = *armed;
+    armed_.Erase(parent);
+    Trace& t = OpenTrace(req.trace_id);
     t.name = req.name;
     t.root_thread = thread;
     t.start = when;
-    ThreadCtx& ctx = threads_[thread];
-    for (int c = 0; c < kCategoryCount; ++c) {
-      ctx.attribution[c] = &t.attribution[kCategories[c]];
-    }
+    ThreadCtx& ctx = BindContext(thread);
     ctx.trace_id = req.trace_id;
+    ctx.record = &t;
     ctx.is_root = true;
     ctx.state = RunState::kQueued;
     ctx.seg_start = when;
-    Span root;
+    Span& root = t.spans.emplace_back();
     root.id = next_span_id_++;
     root.kind = SpanKind::kRequest;
     root.start = when;
     root.node = node;
     root.thread = thread;
     root.label = req.name;
-    t.spans.push_back(std::move(root));
-    ctx.span_stack.push_back(t.spans.back().id);
+    ctx.span_stack.push_back(root.id);
     return;
   }
   // A thread created by a traced thread inherits the trace for span
   // recording (its scheduling is not attributed — only the root's is).
-  ThreadCtx* pctx = Ctx(parent);
+  const ThreadCtx* pctx = Ctx(parent);
   if (pctx != nullptr) {
-    const uint64_t inherited =
-        pctx->span_stack.empty() ? 0 : pctx->span_stack.back();
-    ThreadCtx& ctx = threads_[thread];
+    ThreadCtx& ctx = BindContext(thread);
     ctx.trace_id = pctx->trace_id;
+    ctx.record = pctx->record;
     ctx.is_root = false;
-    ctx.span_stack.push_back(inherited);
+    ctx.span_stack.push_back(pctx->span_stack.empty() ? 0 : pctx->span_stack.back());
   }
 }
 
@@ -363,7 +420,7 @@ void Tracer::OnThreadExit(Time when, NodeId node, ThreadId thread) {
       }
     }
   }
-  threads_.erase(thread);
+  ReleaseContext(thread, *ctx);
 }
 
 void Tracer::OnThreadJoin(Time when, NodeId node, ThreadId thread, ThreadId target) {
@@ -379,8 +436,7 @@ void Tracer::OnThreadMigrate(Time when, NodeId src, NodeId dst, ThreadId thread,
   if (ctx == nullptr) {
     return;
   }
-  ctx->open_migration_span =
-      AddSpan(*ctx, SpanKind::kMigration, when, 0, src, thread, "", dst);
+  ctx->open_migration_span = AddSpan(*ctx, SpanKind::kMigration, when, 0, src, thread, {}, dst);
   if (ctx->is_root) {
     ctx->pending = Cause::kMigration;
   }
@@ -393,7 +449,8 @@ void Tracer::OnInvokeEnter(Time when, NodeId node, ThreadId thread, const void* 
   if (ctx == nullptr) {
     return;
   }
-  const uint64_t id = AddSpan(*ctx, SpanKind::kInvoke, when, 0, node, thread, object, origin);
+  const uint64_t id =
+      AddSpan(*ctx, SpanKind::kInvoke, when, 0, node, thread, Intern(object), origin);
   if (id != 0) {
     ctx->span_stack.push_back(id);
   }
@@ -427,7 +484,7 @@ void Tracer::OnLockAcquired(Time when, NodeId node, ThreadId thread, int lock, D
   if (ctx == nullptr || wait <= 0) {
     return;
   }
-  AddSpan(*ctx, SpanKind::kLockWait, when - wait, when, node, thread, "", lock);
+  AddSpan(*ctx, SpanKind::kLockWait, when - wait, when, node, thread, {}, lock);
 }
 
 void Tracer::OnRpcRequest(Time depart, NodeId src, NodeId dst, int64_t bytes, uint64_t id,
@@ -436,42 +493,36 @@ void Tracer::OnRpcRequest(Time depart, NodeId src, NodeId dst, int64_t bytes, ui
   if (ctx == nullptr) {
     return;
   }
-  const uint64_t span = AddSpan(*ctx, SpanKind::kRpc, depart, 0, src, requester, "", dst);
+  const uint64_t span = AddSpan(*ctx, SpanKind::kRpc, depart, 0, src, requester, {}, dst);
   if (span != 0) {
-    open_rpcs_[id] = {ctx->trace_id, span};
+    open_rpcs_[id] = OpenRpc{ctx->record, ctx->trace_id, span};
   }
   if (ctx->is_root) {
     ctx->pending = Cause::kRpc;
   }
 }
 
+Span* Tracer::OpenRpcSpan(uint64_t rpc_id) {
+  const OpenRpc* rpc = open_rpcs_.Find(rpc_id);
+  if (rpc == nullptr) {
+    return nullptr;
+  }
+  Trace* t = Live(rpc->record, rpc->trace_id);
+  return t != nullptr ? FindSpan(*t, rpc->span_id) : nullptr;
+}
+
 void Tracer::OnRpcResponse(Time when, Time reply_arrive, NodeId src, NodeId dst, int64_t bytes,
                            uint64_t id) {
-  auto it = open_rpcs_.find(id);
-  if (it == open_rpcs_.end()) {
-    return;
+  if (Span* s = OpenRpcSpan(id)) {
+    s->end = reply_arrive;
   }
-  auto trace = traces_.find(it->second.first);
-  if (trace != traces_.end()) {
-    Span* s = FindSpan(trace->second, it->second.second);
-    if (s != nullptr) {
-      s->end = reply_arrive;
-    }
-  }
-  open_rpcs_.erase(it);
+  open_rpcs_.Erase(id);
 }
 
 void Tracer::OnRpcRetry(Time when, NodeId src, NodeId dst, uint64_t id, int attempt,
                         ThreadId requester) {
-  auto it = open_rpcs_.find(id);
-  if (it != open_rpcs_.end()) {
-    auto trace = traces_.find(it->second.first);
-    if (trace != traces_.end()) {
-      Span* s = FindSpan(trace->second, it->second.second);
-      if (s != nullptr) {
-        s->retries = attempt;
-      }
-    }
+  if (Span* s = OpenRpcSpan(id)) {
+    s->retries = attempt;
   }
   // The retry fires in fiber context between the timeout wake and the next
   // block, so it marks the *coming* wait: attempt-0 waits count as "rpc",
@@ -484,20 +535,12 @@ void Tracer::OnRpcRetry(Time when, NodeId src, NodeId dst, uint64_t id, int atte
 
 void Tracer::OnRpcTimeout(Time when, NodeId src, NodeId dst, uint64_t id, int attempts,
                           ThreadId requester) {
-  auto it = open_rpcs_.find(id);
-  if (it == open_rpcs_.end()) {
-    return;
+  if (Span* s = OpenRpcSpan(id)) {
+    s->end = when;
+    s->retries = attempts - 1;
+    s->failed = true;
   }
-  auto trace = traces_.find(it->second.first);
-  if (trace != traces_.end()) {
-    Span* s = FindSpan(trace->second, it->second.second);
-    if (s != nullptr) {
-      s->end = when;
-      s->retries = attempts - 1;
-      s->failed = true;
-    }
-  }
-  open_rpcs_.erase(it);
+  open_rpcs_.Erase(id);
 }
 
 void Tracer::OnFailureBackoff(Time when, NodeId node, ThreadId thread, Duration backoff) {
@@ -505,7 +548,7 @@ void Tracer::OnFailureBackoff(Time when, NodeId node, ThreadId thread, Duration 
   if (ctx == nullptr) {
     return;
   }
-  AddSpan(*ctx, SpanKind::kBackoff, when, when + backoff, node, thread, "", 0);
+  AddSpan(*ctx, SpanKind::kBackoff, when, when + backoff, node, thread, {}, 0);
   if (ctx->is_root) {
     ctx->pending = Cause::kRetry;
   }
@@ -517,7 +560,7 @@ void Tracer::OnRecoveryStart(Time when, NodeId node, ThreadId thread, const void
     return;
   }
   if (ctx->recovery_depth++ == 0) {
-    ctx->open_recovery_span = AddSpan(*ctx, SpanKind::kRecovery, when, 0, node, thread, "", 0);
+    ctx->open_recovery_span = AddSpan(*ctx, SpanKind::kRecovery, when, 0, node, thread, {}, 0);
   }
 }
 
@@ -563,10 +606,8 @@ void Tracer::WriteJson(std::ostream& out) const {
         << ", \"root_thread\": " << t.root_thread << ", \"start_ns\": " << t.start
         << ", \"end_ns\": " << t.end << ", \"latency_ns\": " << t.latency()
         << ", \"hops\": " << t.hops << ",\n     \"attribution\": {";
-    bool first_cat = true;
-    for (const auto& [cat, ns] : t.attribution) {
-      out << (first_cat ? "" : ", ") << "\"" << cat << "\": " << ns;
-      first_cat = false;
+    for (int c = 0; c < kCategoryCount; ++c) {
+      out << (c == 0 ? "" : ", ") << "\"" << kCategories[c] << "\": " << t.attribution[c];
     }
     out << "},\n     \"spans\": [";
     bool first_span = true;

@@ -39,6 +39,19 @@
 // p999 bucket names a trace id this tracer can fully reconstruct
 // (WriteJson -> TRACEREQ_<name>.json, rendered by amber-tail).
 //
+// Cost: sampling should make an untraced request nearly free. The tracer
+// keeps state only for threads that carry a trace, in a flat table keyed by
+// thread id, so a bus event of an untraced thread costs one probe of that
+// table (none while no traced thread is alive). A sampled request reuses
+// storage instead of allocating once the run is warm: a thread's context
+// returns to a pool at thread exit with its span stack's capacity, the
+// record of the trace evicted at capacity is handed to the next request
+// opened with its span vector's capacity, span labels point at interned
+// strings, and a context frame is a fixed-size value. Memory is bounded by
+// the peak of concurrently traced threads, max_traces retained traces plus
+// those still open, and one copy of each distinct label (object types and
+// request names).
+//
 // Contract: the tracer is an observer-only tap on the bus plus a wire
 // hook. Attached with sampling off (sample_every = 0) it adds no payload
 // bytes, records nothing, and every output of the run is byte-identical
@@ -50,13 +63,15 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <map>
+#include <memory>
 #include <ostream>
 #include <string>
-#include <unordered_map>
+#include <string_view>
+#include <unordered_set>
 #include <vector>
 
+#include "src/base/address_map.h"
 #include "src/core/runtime.h"
 #include "src/rpc/transport.h"
 
@@ -73,6 +88,7 @@ using amber::Time;
 inline constexpr uint8_t kContextVersion = 1;
 inline constexpr size_t kContextV1Bytes = 18;
 inline constexpr uint8_t kContextFlagSampled = 1;
+static_assert(kContextV1Bytes <= rpc::TraceFrame::kCapacity);
 
 struct TraceContext {
   uint8_t version = kContextVersion;
@@ -83,8 +99,8 @@ struct TraceContext {
   bool sampled() const { return (flags & kContextFlagSampled) != 0; }
 };
 
-std::vector<uint8_t> EncodeContext(const TraceContext& ctx);
-TraceContext DecodeContext(const std::vector<uint8_t>& bytes);
+rpc::TraceFrame EncodeContext(const TraceContext& ctx);
+TraceContext DecodeContext(const rpc::TraceFrame& frame);
 
 // --- Spans ---------------------------------------------------------------------
 
@@ -103,29 +119,47 @@ const char* SpanKindName(SpanKind kind);
 struct Span {
   uint64_t id = 0;
   uint64_t parent = 0;  // 0 = top-level (the request span itself)
-  SpanKind kind = SpanKind::kRequest;
   Time start = 0;
   Time end = 0;  // 0 while open
-  NodeId node = 0;
   ThreadId thread = 0;
-  std::string label;  // invoke: object label; request: request name
-  int64_t aux = 0;    // lock: id; migration/rpc: dst node; invoke: origin node
+  // invoke: object label; request: request name. Interned: the text lives
+  // in the tracer, for as long as the tracer does.
+  std::string_view label;
+  int64_t aux = 0;      // lock: id; migration/rpc: dst node; invoke: origin node
   int64_t retries = 0;  // rpc: retransmissions beyond the first attempt
+  NodeId node = 0;
+  SpanKind kind = SpanKind::kRequest;
   bool failed = false;
+};
+
+// The nine attribution categories. Trace::attribution is indexed by them;
+// they are declared (and rendered) in the alphabetical order of their names.
+enum Category : uint8_t {
+  kCompute,
+  kJoin,
+  kLock,
+  kMigration,
+  kOther,
+  kQueue,
+  kRecovery,
+  kRetry,
+  kRpc,
+  kCategoryCount,
 };
 
 struct Trace {
   uint64_t trace_id = 0;
-  std::string name;
+  std::string_view name;  // interned, like Span::label
   ThreadId root_thread = 0;
   Time start = 0;
   Time end = 0;
   bool done = false;
   int64_t hops = 0;  // context frames that arrived across the wire
+  // Ascending id: spans are appended as their ids are drawn from one counter.
   std::vector<Span> spans;
   // Exact tiling of [start, end]: the nine category sums always total
   // end - start for a completed trace.
-  std::map<std::string, Duration> attribution;
+  std::array<Duration, kCategoryCount> attribution{};
 
   Duration latency() const { return end - start; }
 };
@@ -184,8 +218,8 @@ class Tracer : public amber::RuntimeObserver, public rpc::TraceHook {
   void WriteJson(std::ostream& out) const;
 
   // --- rpc::TraceHook ---------------------------------------------------------
-  std::vector<uint8_t> ContextFrame(uint64_t requester, NodeId src, NodeId dst) override;
-  void OnContextArrive(Time when, NodeId node, const std::vector<uint8_t>& frame) override;
+  rpc::TraceFrame ContextFrame(uint64_t requester, NodeId src, NodeId dst) override;
+  void OnContextArrive(Time when, NodeId node, const rpc::TraceFrame& frame) override;
 
   // --- amber::RuntimeObserver -------------------------------------------------
   void OnThreadCreate(Time when, NodeId node, ThreadId thread, const std::string& name,
@@ -231,22 +265,18 @@ class Tracer : public amber::RuntimeObserver, public rpc::TraceHook {
     kJoin,
   };
   enum class RunState : uint8_t { kQueued, kRunning, kBlocked };
-  // The nine attribution categories, in Trace::attribution's key order.
-  enum Category : uint8_t {
-    kCompute,
-    kJoin,
-    kLock,
-    kMigration,
-    kOther,
-    kQueue,
-    kRecovery,
-    kRetry,
-    kRpc,
-    kCategoryCount,
-  };
 
+  using TraceMap = std::map<uint64_t, Trace>;
+
+  // A traced thread's state. Contexts are pooled: one returns to the pool at
+  // thread exit and keeps its span stack's capacity for the next thread.
   struct ThreadCtx {
     uint64_t trace_id = 0;
+    // The record trace_id was opened in. A child can outlive its request and
+    // the trace can then be evicted, and its record reused for a later
+    // trace, so the record is this thread's only while it still carries
+    // trace_id (TraceOf).
+    Trace* record = nullptr;
     bool is_root = false;
     std::vector<uint64_t> span_stack;  // open invoke spans; [0] = base span
     // Root-thread attribution machinery.
@@ -257,22 +287,42 @@ class Tracer : public amber::RuntimeObserver, public rpc::TraceHook {
     int recovery_depth = 0;
     uint64_t open_migration_span = 0;  // close at the next dispatch
     uint64_t open_recovery_span = 0;
-    // Root only: the trace's attribution entries, resolved at creation. The
-    // trace outlives its root thread's context, so these stay valid.
-    std::array<Duration*, kCategoryCount> attribution{};
   };
 
   struct ArmedRequest {
-    std::string name;
+    std::string_view name;  // interned
     uint64_t trace_id = 0;
   };
 
-  Trace* TraceOf(ThreadCtx& ctx);
-  ThreadCtx* Ctx(ThreadId thread);
+  // A traced roundtrip in flight: the span to close when it answers.
+  struct OpenRpc {
+    Trace* record = nullptr;  // holds the span while it carries trace_id
+    uint64_t trace_id = 0;
+    uint64_t span_id = 0;
+  };
+
+  // `record` if it still carries trace `trace_id`, else nullptr: the trace
+  // was evicted, and the record may since carry another one.
+  static Trace* Live(Trace* record, uint64_t trace_id) {
+    return record != nullptr && record->trace_id == trace_id ? record : nullptr;
+  }
+  static Trace* TraceOf(const ThreadCtx& ctx) { return Live(ctx.record, ctx.trace_id); }
+  ThreadCtx* Ctx(ThreadId thread) const;
+  // A pooled context, bound to `thread` in the live table.
+  ThreadCtx& BindContext(ThreadId thread);
+  // Unbinds `thread` and returns its context to the pool.
+  void ReleaseContext(ThreadId thread, ThreadCtx& ctx);
+  // An empty record for `trace_id` in traces_: the last evicted one if any.
+  Trace& OpenTrace(uint64_t trace_id);
+  // The tracer's one copy of `text`, made on first sight.
+  std::string_view Intern(const std::string& text);
   // Appends a completed or open span to ctx's trace; returns its id.
   uint64_t AddSpan(ThreadCtx& ctx, SpanKind kind, Time start, Time end, NodeId node,
-                   ThreadId thread, const std::string& label, int64_t aux, uint64_t parent = 0);
-  Span* FindSpan(Trace& trace, uint64_t span_id);
+                   ThreadId thread, std::string_view label, int64_t aux);
+  static Span* FindSpan(Trace& trace, uint64_t span_id);
+  // The span of traced roundtrip `rpc_id` while it is open and its trace is
+  // retained, else nullptr.
+  Span* OpenRpcSpan(uint64_t rpc_id);
   // Closes the root thread's current attribution segment at `when` under
   // `category` and opens the next one.
   void CloseSegment(ThreadCtx& ctx, Time when, Category category);
@@ -282,11 +332,20 @@ class Tracer : public amber::RuntimeObserver, public rpc::TraceHook {
 
   TraceConfig config_;
   amber::Runtime* rt_ = nullptr;
-  std::map<uint64_t, Trace> traces_;  // ordered: deterministic dump
-  std::unordered_map<ThreadId, ThreadCtx> threads_;          // traced threads only
-  std::unordered_map<ThreadId, ArmedRequest> armed_;         // parent -> next-create binding
-  std::unordered_map<uint64_t, std::pair<uint64_t, uint64_t>> open_rpcs_;  // rpc id -> (trace, span)
-  std::deque<uint64_t> completion_order_;  // trace eviction order
+  TraceMap traces_;  // ordered: deterministic dump
+  // Records of evicted traces, reused by the next traces opened.
+  std::vector<TraceMap::node_type> spare_traces_;
+  // Completed trace ids in completion order (the eviction order): a ring of
+  // completed_count_ ids starting at completed_head_.
+  std::vector<uint64_t> completed_;
+  size_t completed_head_ = 0;
+  size_t completed_count_ = 0;
+  amber::AddressMap<ThreadCtx*, ThreadId> live_;  // traced threads only
+  std::vector<std::unique_ptr<ThreadCtx>> contexts_;  // the pool: every context made
+  std::vector<ThreadCtx*> free_contexts_;
+  amber::AddressMap<ArmedRequest, ThreadId> armed_;  // parent -> next-create binding
+  amber::AddressMap<OpenRpc, uint64_t> open_rpcs_;   // by rpc id
+  std::unordered_set<std::string> labels_;           // interned label text
   uint64_t next_trace_id_ = 1;
   uint64_t next_span_id_ = 1;
   int64_t requests_seen_ = 0;

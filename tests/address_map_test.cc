@@ -1,7 +1,8 @@
 // Differential tests of amber::AddressMap (src/base/address_map.h) against
 // std::unordered_map: seeded random operation mixes across several growths,
-// and a cluster of colliding keys that wraps past the end of the table and
-// is then erased from the middle.
+// a cluster of colliding keys that wraps past the end of the table and is
+// then erased from the middle, and integer thread-id keys churning through a
+// bounded window of live ids.
 
 #include "src/base/address_map.h"
 
@@ -165,6 +166,36 @@ TEST(AddressMapTest, ClusterWrappingPastTheEndSurvivesMiddleErases) {
     ASSERT_TRUE(map.Erase(cluster[0]));
     EXPECT_EQ(map.size(), 0u);
   }
+}
+
+// Thread ids as keys, the way rtrace keys its live traced threads: ids are
+// sequential and never zero, and only a window of them is alive at once.
+// The table is sized by that window, not by how many ids went by.
+TEST(AddressMapTest, IntegerIdKeysStayBoundedByTheLiveWindow) {
+  constexpr uint64_t kLive = 24;
+  constexpr uint64_t kIds = 20000;
+  AddressMap<uint64_t, uint64_t> map;
+  std::unordered_map<uint64_t, uint64_t> ref;
+  for (uint64_t id = 1; id <= kIds; ++id) {
+    map[id] = 3 * id;
+    ref[id] = 3 * id;
+    if (id > kLive) {
+      ASSERT_TRUE(map.Erase(id - kLive)) << "id " << id - kLive;
+      ref.erase(id - kLive);
+      ASSERT_EQ(map.Find(id - kLive), nullptr);
+    }
+    ASSERT_EQ(map.size(), ref.size());
+  }
+  for (const auto& [id, value] : ref) {
+    const uint64_t* found = map.Find(id);
+    ASSERT_NE(found, nullptr) << "missing id " << id;
+    EXPECT_EQ(*found, value);
+  }
+  // kLive + 1 entries at three quarters' load fit in 64 slots.
+  EXPECT_LE(map.capacity(), 64u);
+  // Zero marks an empty slot; it is never found and never erased.
+  EXPECT_EQ(map.Find(0), nullptr);
+  EXPECT_FALSE(map.Erase(0));
 }
 
 }  // namespace

@@ -1,18 +1,51 @@
 // Tests for request-scoped tracing: the context wire frame, sampled
 // end-to-end propagation through threads / invocations / the RPC wire,
 // exact virtual-time attribution closure, exemplar integration, the flight
-// recorder's span column, and byte-inertness when sampling is off.
+// recorder's span column, byte-inertness when sampling is off, eviction and
+// the reuse of evicted records (a recorded dump of an eviction-heavy faulted
+// run), and that a sampled request allocates nothing once the tracer is
+// warm. Every global operator new in this binary is counted, so the last is
+// checked directly.
 
 #include "src/rtrace/rtrace.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <new>
 #include <sstream>
 #include <string>
 
 #include "src/core/amber.h"
+#include "src/fault/fault.h"
 #include "src/fdr/fdr.h"
 #include "src/metrics/metrics.h"
+#include "src/rpc/wire.h"
+
+namespace {
+int64_t g_allocations = 0;
+
+void* CountedAlloc(std::size_t n, std::size_t align) {
+  ++g_allocations;
+  n = n == 0 ? 1 : n;
+  void* p = align <= alignof(std::max_align_t)
+                ? std::malloc(n)
+                : std::aligned_alloc(align, (n + align - 1) / align * align);
+  if (p == nullptr) {
+    throw std::bad_alloc();
+  }
+  return p;
+}
+}  // namespace
+
+void* operator new(std::size_t n) { return CountedAlloc(n, alignof(std::max_align_t)); }
+void* operator new(std::size_t n, std::align_val_t align) {
+  return CountedAlloc(n, static_cast<std::size_t>(align));
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
 
 namespace rtrace {
 namespace {
@@ -43,8 +76,16 @@ TEST(TraceContextWireTest, V1RoundTripIsExactlyTheFixedPrefix) {
   tx.span_id = 42;
   tx.flags = kContextFlagSampled;
 
-  const std::vector<uint8_t> frame = EncodeContext(tx);
-  EXPECT_EQ(frame.size(), kContextV1Bytes);
+  const rpc::TraceFrame frame = EncodeContext(tx);
+  EXPECT_EQ(frame.size, kContextV1Bytes);
+  // The layout a WireBuffer writes for [u8 version][u64 trace][u64 span][u8 flags].
+  rpc::WireBuffer w;
+  w.PutU8(1);
+  w.PutU64(tx.trace_id);
+  w.PutU64(tx.span_id);
+  w.PutU8(kContextFlagSampled);
+  EXPECT_EQ(std::vector<uint8_t>(frame.bytes.begin(), frame.bytes.begin() + frame.size),
+            w.bytes());
   const TraceContext rx = DecodeContext(frame);
   EXPECT_EQ(rx.version, 1);
   EXPECT_EQ(rx.trace_id, 0x1122334455667788ull);
@@ -116,13 +157,13 @@ TEST(RtraceTest, AttributionSumsToLatencyExactly) {
   for (const auto& [id, t] : tracer.traces()) {
     ASSERT_TRUE(t.done);
     Duration sum = 0;
-    for (const auto& [cat, ns] : t.attribution) {
+    for (const Duration ns : t.attribution) {
       sum += ns;
     }
     // Exact closure: every nanosecond of the root thread's lifetime lands
     // in exactly one category.
     EXPECT_EQ(sum, t.latency()) << "trace " << id;
-    EXPECT_GT(t.attribution.at("compute"), 0) << "trace " << id;
+    EXPECT_GT(t.attribution[kCompute], 0) << "trace " << id;
   }
 }
 
@@ -288,7 +329,7 @@ TEST(RtraceTest, EvictionKeepsTheNewestTraces) {
     EXPECT_TRUE(t.done);
     EXPECT_GE(id, uint64_t{kRequests - 1});
     Duration attributed = 0;
-    for (const auto& [cat, ns] : t.attribution) {
+    for (const Duration ns : t.attribution) {
       attributed += ns;
     }
     EXPECT_EQ(attributed, t.latency());
@@ -315,6 +356,225 @@ TEST(RtraceTest, EvictionFollowsCompletionOrder) {
   EXPECT_EQ(tracer.traces_evicted(), 2);
   ASSERT_EQ(tracer.traces().size(), 1u);
   EXPECT_EQ(tracer.traces().begin()->first, 1u);
+}
+
+// --- Evicted records are reused ------------------------------------------------
+
+class Pinger final : public Object {
+ public:
+  int Ping(int i) {
+    Work(Micros(30));
+    return i;
+  }
+};
+
+ThreadRef<void> g_orphan;
+Time g_orphan_done = 0;
+
+// Serve starts a child and returns without joining it, so the child
+// outlives its request: it keeps calling a remote Pinger 40 times.
+class Spawner final : public Object {
+ public:
+  void Serve(Ref<Pinger> target) {
+    Work(Micros(50));
+    g_orphan = StartThread(Ref<Spawner>(this), &Spawner::Chase, target);
+  }
+  void Chase(Ref<Pinger> target) {
+    for (int i = 0; i < 40; ++i) {
+      Work(Micros(100));
+      target.Call(&Pinger::Ping, i);
+    }
+    g_orphan_done = Now();
+  }
+};
+
+TEST(RtraceTest, OrphanChildRecordsNothingAfterEviction) {
+  // Capacity 1: each later completion evicts the previous trace, and the
+  // next request opened reuses its record. The orphan still names trace 1
+  // and must record nothing once trace 1 is gone, not into the record's
+  // next trace.
+  Tracer tracer({.name = "t", .max_traces = 1});
+  Runtime rt(TestConfig());
+  tracer.AttachTo(rt);
+  Time last_request_done = 0;
+  rt.Run([&] {
+    auto pinger = NewOn<Pinger>(1);
+    auto spawner = NewOn<Spawner>(0);
+    auto w = NewOn<Worker>(1);
+    tracer.OpenRequest("orphaning");
+    StartThread(spawner, &Spawner::Serve, pinger).Join();
+    for (int i = 0; i < 8; ++i) {
+      tracer.OpenRequest("req");
+      StartThread(w, &Worker::Spin, i % 3).Join();
+    }
+    last_request_done = Now();
+    g_orphan.Join();
+  });
+  // The orphan was still calling after the last request completed, so it
+  // outlived every eviction.
+  EXPECT_GT(g_orphan_done, last_request_done);
+  EXPECT_EQ(tracer.requests_sampled(), 9);
+  EXPECT_EQ(tracer.traces_evicted(), 8);
+  ASSERT_EQ(tracer.traces().size(), 1u);
+  for (const auto& [id, t] : tracer.traces()) {
+    EXPECT_EQ(t.name, "req");
+    for (const Span& s : t.spans) {
+      EXPECT_EQ(s.thread, t.root_thread) << "trace " << id << " holds a span of thread " << s.thread;
+    }
+  }
+  g_orphan = ThreadRef<void>();
+}
+
+// Holds its lock long enough for a second request to queue on it.
+class Desk final : public Object {
+ public:
+  void Hold() {
+    lock_.Acquire();
+    Work(Millis(30));
+    lock_.Release();
+  }
+
+ private:
+  Lock lock_;
+};
+
+class Prober final : public Object {
+ public:
+  void Probe(NodeId dst) {
+    Runtime::Current().transport().Roundtrip(dst, 64, []() -> int64_t { return 32; });
+  }
+};
+
+// Fan starts a child that calls a Worker (on the node that crashes) and
+// joins it.
+class Fanner final : public Object {
+ public:
+  int Fan(Ref<Worker> far, int units) {
+    return StartThread(far, &Worker::Spin, units).Join();
+  }
+};
+
+uint64_t Fnv1a(const std::string& s) {
+  uint64_t h = 1469598103934665603ULL;
+  for (unsigned char c : s) {
+    h = (h ^ c) * 1099511628211ULL;
+  }
+  return h;
+}
+
+// Recorded from the run below with a tracer that allocated every record
+// afresh, so a reused record that keeps a byte of its previous trace shows
+// here.
+constexpr int64_t kGoldenEvicted = 22;
+constexpr uint64_t kGoldenJson = 0x42f5766ca860f88fULL;
+
+TEST(RtraceGoldenTest, EvictionHeavyRunDumpsTheRecordedBytes) {
+  // Waves of five requests (two lock holders, a migration, an rpc
+  // roundtrip, a child thread calling into a node that crashes) under a
+  // lossy fault plan, retaining only three traces.
+  Runtime::Config config;
+  config.nodes = 4;
+  config.procs_per_node = 1;
+  config.arena_bytes = size_t{128} << 20;
+  Runtime rt(config);
+  fault::FaultPlan plan;
+  plan.seed = 5;
+  fault::LinkRule rule;
+  rule.drop = 0.15;
+  rule.duplicate = 0.05;
+  rule.delay = 0.1;
+  rule.delay_min = Micros(50);
+  rule.delay_max = Micros(400);
+  plan.links.push_back(rule);
+  plan.node_events.push_back(fault::NodeEvent{2, Millis(352), Millis(1600)});
+  fault::Injector injector(plan);
+  rt.SetFaultInjector(&injector);
+  rt.SetFailureHandler([](const FailureEvent&) { return FailureAction::kRetry; });
+  Tracer tracer({.name = "golden", .max_traces = 3});
+  tracer.AttachTo(rt);
+  rt.Run([&] {
+    auto desk = NewOn<Desk>(0);
+    auto prober = NewOn<Prober>(0);
+    auto fanner = NewOn<Fanner>(0);
+    auto near = NewOn<Worker>(1);
+    auto far = NewOn<Worker>(2);
+    for (int wave = 0; wave < 5; ++wave) {
+      tracer.OpenRequest("hold");
+      auto h1 = StartThread(desk, &Desk::Hold);
+      tracer.OpenRequest("hold");
+      auto h2 = StartThread(desk, &Desk::Hold);
+      tracer.OpenRequest("spin");
+      auto spin = StartThread(near, &Worker::Spin, wave);
+      tracer.OpenRequest("probe");
+      auto probe = StartThread(prober, &Prober::Probe, NodeId{1 + wave % 3});
+      tracer.OpenRequest("fan");
+      auto fan = StartThread(fanner, &Fanner::Fan, far, wave);
+      h1.Join();
+      h2.Join();
+      spin.Join();
+      probe.Join();
+      fan.Join();
+      Work(Millis(1));
+    }
+  });
+  std::ostringstream out;
+  tracer.WriteJson(out);
+  const std::string json = out.str();
+  for (const char* kind : {"lock_wait", "rpc", "migration", "backoff", "invoke"}) {
+    EXPECT_NE(json.find(std::string("\"kind\": \"") + kind + "\""), std::string::npos) << kind;
+  }
+  EXPECT_GT(rt.transport().retries(), 0);
+  EXPECT_EQ(tracer.requests_sampled(), 25);
+  EXPECT_EQ(tracer.traces().size(), 3u);
+  EXPECT_EQ(tracer.traces_evicted(), kGoldenEvicted);
+  EXPECT_EQ(Fnv1a(json), kGoldenJson) << std::hex << Fnv1a(json);
+}
+
+// --- Steady state allocates nothing ----------------------------------------------
+
+// Serve makes one rpc roundtrip, then runs a child thread that calls a
+// remote Worker: the context table, the span stacks, the rpc table, the
+// wire frames and the trace records all see use.
+class Front final : public Object {
+ public:
+  int Serve(Ref<Worker> w, int units) {
+    Runtime::Current().transport().Roundtrip(1, 64, []() -> int64_t { return 32; });
+    return StartThread(w, &Worker::Spin, units).Join();
+  }
+};
+
+// Global operator new calls made by `requests` sequential requests.
+int64_t RequestLoopAllocations(uint64_t sample_every, int requests) {
+  Tracer tracer({.name = "alloc", .sample_every = sample_every, .max_traces = 4});
+  Runtime rt(TestConfig());
+  tracer.AttachTo(rt);
+  int64_t allocations = 0;
+  rt.Run([&] {
+    auto w = NewOn<Worker>(1);
+    auto front = NewOn<Front>(0);
+    const int64_t before = g_allocations;
+    for (int i = 0; i < requests; ++i) {
+      tracer.OpenRequest("req");
+      StartThread(front, &Front::Serve, w, i % 3).Join();
+    }
+    allocations = g_allocations - before;
+  });
+  EXPECT_EQ(tracer.requests_sampled(), sample_every == 0 ? 0 : requests);
+  return allocations;
+}
+
+TEST(RtraceTest, SampledRequestsAllocateNothingOnceWarm) {
+  // The runtime allocates per request too, alike with sampling on and off,
+  // so the tracer's share is the difference. Warm-up (the first records,
+  // contexts, table slots and interned labels) is the same at N and 2N;
+  // anything a sampled request allocates after it would grow with N.
+  constexpr int kRequests = 40;
+  const int64_t extra_n =
+      RequestLoopAllocations(1, kRequests) - RequestLoopAllocations(0, kRequests);
+  const int64_t extra_2n =
+      RequestLoopAllocations(1, 2 * kRequests) - RequestLoopAllocations(0, 2 * kRequests);
+  EXPECT_GT(extra_n, 0);  // warm-up
+  EXPECT_EQ(extra_2n, extra_n);
 }
 
 }  // namespace
