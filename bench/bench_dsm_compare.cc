@@ -32,6 +32,7 @@ int main() {
 
   const sor::Result seq = sor::RunSequentialOn(ap, cost);
   const sor::Result amber_r = sor::RunAmberOn(kNodes, 1, ap, cost);
+  bool grid_mismatch = false;  // any system whose grid differs from the sequential one
 
   benchutil::Table table({"system", "time (s)", "vs seq", "msgs", "KB on wire", "faults"});
   table.AddRow({"sequential", benchutil::Fmt("%.2f", amber::ToSeconds(seq.solve_time)), "1.00",
@@ -43,7 +44,8 @@ int main() {
                 std::to_string(amber_r.net_messages),
                 std::to_string(amber_r.net_bytes / 1024), "-"});
   if (amber_r.grid_hash != seq.grid_hash) {
-    std::printf("WARNING: Amber grid mismatch\n");
+    std::printf("ERROR: Amber grid mismatch\n");
+    grid_mismatch = true;
   }
 
   // The write-update protocol variant (Li & Hudak's other family): copies
@@ -58,7 +60,8 @@ int main() {
     dp.protocol = dsm::Protocol::kUpdate;
     const dsm::SorDsmResult r = dsm::RunSorDsm(kNodes, dp, cost);
     if (r.grid_hash != seq.grid_hash) {
-      std::printf("WARNING: update-protocol grid mismatch\n");
+      std::printf("ERROR: update-protocol grid mismatch\n");
+      grid_mismatch = true;
     }
     table.AddRow({"Ivy pages, tuned, write-update",
                   benchutil::Fmt("%.2f", amber::ToSeconds(r.solve_time)),
@@ -80,8 +83,9 @@ int main() {
       dp.page_size = page;
       const dsm::SorDsmResult r = dsm::RunSorDsm(kNodes, dp, cost);
       if (r.grid_hash != seq.grid_hash) {
-        std::printf("WARNING: DSM grid mismatch (layout=%d page=%d)\n",
+        std::printf("ERROR: DSM grid mismatch (layout=%d page=%d)\n",
                     static_cast<int>(layout), page);
+        grid_mismatch = true;
       }
       const std::string name =
           std::string("Ivy pages, ") +
@@ -100,5 +104,5 @@ int main() {
       "natural row-major layout faults per row and collapses — the layout knowledge\n"
       "Amber gets from its object decomposition must be supplied manually to a\n"
       "page-based system (par. 4.2).\n");
-  return 0;
+  return grid_mismatch ? 1 : 0;
 }

@@ -53,6 +53,9 @@ int main() {
       {6, 4, true}, {8, 1, true}, {8, 2, true},  {8, 4, true},  {8, 4, false},
   };
 
+  // Every run must reproduce the sequential grid bit for bit; a mismatch is
+  // printed and fails the benchmark.
+  bool grid_mismatch = false;
   benchutil::Table table({"config", "sections", "procs total", "speedup", "efficiency",
                           "msgs/iter", "KB/iter"});
   for (const Config& c : configs) {
@@ -62,8 +65,9 @@ int main() {
     p.sections = (c.nodes == 3 || c.nodes == 6) ? 6 : 8;
     p.overlap = c.overlap;
     const sor::Result r = sor::RunAmberOn(c.nodes, c.procs, p, cost);
-    if (r.grid_hash != seq.grid_hash && p.sections == 8) {
-      std::printf("WARNING: grid mismatch for %dNx%dP\n", c.nodes, c.procs);
+    if (r.grid_hash != seq.grid_hash) {
+      std::printf("ERROR: grid mismatch for %dNx%dP\n", c.nodes, c.procs);
+      grid_mismatch = true;
     }
     const double speedup =
         static_cast<double>(seq.solve_time) / static_cast<double>(r.solve_time);
@@ -149,7 +153,8 @@ int main() {
         prof.Disable();
       }
       if (r.grid_hash != seq.grid_hash) {
-        std::printf("WARNING: grid mismatch in overhead run\n");
+        std::printf("ERROR: grid mismatch in overhead run\n");
+        grid_mismatch = true;
       }
       return wall;
     };
@@ -173,5 +178,5 @@ int main() {
     std::printf("wrote TELEMETRY_fig2.json (%lld events profiled)\n",
                 static_cast<long long>(prof.count(telemetry::Count::kEvents)));
   }
-  return 0;
+  return grid_mismatch ? 1 : 0;
 }

@@ -42,11 +42,39 @@ uint64_t HashDoubles(const std::vector<double>& v) {
   return h;
 }
 
-// The SOR update — shared verbatim by the sequential and parallel versions
-// so their arithmetic is bitwise identical.
+// The SOR update of one point. RelaxRow applies it for both the sequential
+// and the parallel versions, so their arithmetic is bitwise identical.
 inline double Relax(double v, double up, double down, double left, double right, double omega) {
   return (1.0 - omega) * v + omega * 0.25 * (up + down + left + right);
 }
+
+struct RowSweep {
+  double max_delta = 0.0;  // max |next - old| over the row's updated points
+  int updated = 0;
+};
+
+// The red/black row kernel, shared by the sequential and parallel versions:
+// relaxes row[first], row[first + 2], ... up to row[last], where `first` is
+// the row's first point of the phase's color and `up`/`down` are the rows
+// above and below, indexed by the same column.
+inline RowSweep RelaxRow(double* row, const double* up, const double* down, int first, int last,
+                         double omega) {
+  RowSweep s;
+  for (int c = first; c <= last; c += 2) {
+    const double old = row[c];
+    const double next = Relax(old, up[c], down[c], row[c - 1], row[c + 1], omega);
+    row[c] = next;
+    s.max_delta = std::max(s.max_delta, std::fabs(next - old));
+    ++s.updated;
+  }
+  return s;
+}
+
+// The first index i >= lo with (offset + i) % 2 == color. A point's color is
+// (row + global column) % 2, so along row r of a strip whose local column 0
+// is global column col0 the offset is r + col0, and down global column gc it
+// is gc.
+inline int FirstOfColor(int lo, int offset, int color) { return lo + ((offset + lo + color) & 1); }
 
 class Master;
 
@@ -102,14 +130,12 @@ class Section : public Object {
   // transaction per edge per phase, §6).
   void PutEdge(int side, int64_t phase, std::vector<double> values) {
     MonitorGuard g(lock_);
-    const int gc = side == 0 ? col0_ - 1 : col0_ + width_;  // ghost column
+    const int ghost = side == 0 ? -1 : width_;
     const int color = static_cast<int>(phase % 2);
     size_t k = 0;
-    for (int r = 1; r < p_.rows - 1; ++r) {
-      if ((r + gc) % 2 == color) {
-        AMBER_DCHECK(k < values.size());
-        At(r, side == 0 ? -1 : width_) = values[k++];
-      }
+    for (int r = FirstOfColor(1, col0_ + ghost, color); r < p_.rows - 1; r += 2) {
+      AMBER_DCHECK(k < values.size());
+      At(r, ghost) = values[k++];
     }
     AMBER_CHECK(k == values.size()) << "edge size mismatch";
     ghost_phase_[side] = phase;
@@ -137,38 +163,44 @@ class Section : public Object {
     return r == 0 ? p_.boundary_top : 0.0;  // hot top edge, cold elsewhere
   }
 
-  // c is a local column in [-1, width_]; -1 and width_ are ghosts.
-  double& At(int r, int c) {
-    return data_[static_cast<size_t>(r) * static_cast<size_t>(width_ + 2) +
-                 static_cast<size_t>(c + 1)];
+  // Row r at local column 0; [-1] and [width_] are its ghosts.
+  double* Row(int r) {
+    return &data_[static_cast<size_t>(r) * static_cast<size_t>(width_ + 2) + 1];
   }
 
-  bool IsInterior(int gc) const { return gc >= 1 && gc <= p_.cols - 2; }
+  // c is a local column in [-1, width_]; -1 and width_ are ghosts.
+  double& At(int r, int c) { return Row(r)[c]; }
 
   // Updates color points of phase `phase` in rows [r0, r1) over local
   // columns [c_lo, c_hi]; returns the max delta and charges CPU per row.
   double UpdateRows(int r0, int r1, int64_t phase, int c_lo, int c_hi) {
     const int color = static_cast<int>(phase % 2);
+    // Only interior global columns [1, cols - 2] are updated.
+    const int lo = std::max(c_lo, 1 - col0_);
+    const int hi = std::min(c_hi, p_.cols - 2 - col0_);
+    const double omega = p_.omega;
     double max_delta = 0.0;
     for (int r = std::max(r0, 1); r < std::min(r1, p_.rows - 1); ++r) {
-      int updated = 0;
-      for (int c = c_lo; c <= c_hi; ++c) {
-        const int gc = col0_ + c;
-        if (!IsInterior(gc) || (r + gc) % 2 != color) {
-          continue;
-        }
-        const double old = At(r, c);
-        const double next =
-            Relax(old, At(r - 1, c), At(r + 1, c), At(r, c - 1), At(r, c + 1), p_.omega);
-        At(r, c) = next;
-        max_delta = std::max(max_delta, std::fabs(next - old));
-        ++updated;
-      }
-      if (updated > 0) {
-        Work(updated * p_.point_cost);
+      const RowSweep s =
+          RelaxRow(Row(r), Row(r - 1), Row(r + 1), FirstOfColor(lo, r + col0_, color), hi, omega);
+      max_delta = std::max(max_delta, s.max_delta);
+      if (s.updated > 0) {
+        Work(s.updated * p_.point_cost);
       }
     }
     return max_delta;
+  }
+
+  // One color's points of local column `c`, rows 1 .. rows - 2: the edge
+  // values a neighbour needs for the next phase.
+  std::vector<double> EdgeValues(int c, int color) {
+    const int first = FirstOfColor(1, col0_ + c, color);
+    std::vector<double> values;
+    values.reserve(static_cast<size_t>(std::max(0, (p_.rows - first) / 2)));
+    for (int r = first; r < p_.rows - 1; r += 2) {
+      values.push_back(At(r, c));
+    }
+    return values;
   }
 
   // Snapshots and ships one phase's edge values to both neighbours by
@@ -179,17 +211,10 @@ class Section : public Object {
       if (!neighbor) {
         continue;
       }
-      const int edge_local = side == 0 ? 0 : width_ - 1;
-      const int gc = col0_ + edge_local;
-      const int color = static_cast<int>(phase % 2);
       std::vector<double> values;
       {
         MonitorGuard g(lock_);
-        for (int r = 1; r < p_.rows - 1; ++r) {
-          if ((r + gc) % 2 == color) {
-            values.push_back(At(r, edge_local));
-          }
-        }
+        values = EdgeValues(side == 0 ? 0 : width_ - 1, static_cast<int>(phase % 2));
         snapshot_phase_[side] = phase;
         cv_.Broadcast();
       }
@@ -348,7 +373,6 @@ void Section::EdgeLoop(int side) {
     return;  // global boundary: nothing to exchange
   }
   const int edge_local = side == 0 ? 0 : width_ - 1;
-  const int gc = col0_ + edge_local;
   for (int64_t phase = 0;; ++phase) {
     std::vector<double> values;
     {
@@ -360,12 +384,7 @@ void Section::EdgeLoop(int side) {
         return;  // converged; the remaining edges are never read
       }
       // Snapshot the just-updated color's points of our edge column.
-      const int color = static_cast<int>(phase % 2);
-      for (int r = 1; r < p_.rows - 1; ++r) {
-        if ((r + gc) % 2 == color) {
-          values.push_back(At(r, edge_local));
-        }
-      }
+      values = EdgeValues(edge_local, static_cast<int>(phase % 2));
       snapshot_phase_[side] = phase;
       cv_.Broadcast();
     }
@@ -423,25 +442,18 @@ Result RunSequential(amber::Runtime& rt, const Params& params, bool keep_grid) {
       at(0, c) = params.boundary_top;
     }
     const Time start = amber::Now();
+    const double omega = params.omega;
     int iterations = 0;
     double delta = 0.0;
     for (int iter = 0; iter < params.max_iterations; ++iter) {
       delta = 0.0;
       for (int color = 0; color < 2; ++color) {
         for (int r = 1; r < rows - 1; ++r) {
-          int updated = 0;
-          for (int c = 1; c < cols - 1; ++c) {
-            if ((r + c) % 2 != color) {
-              continue;
-            }
-            const double old = at(r, c);
-            const double next =
-                Relax(old, at(r - 1, c), at(r + 1, c), at(r, c - 1), at(r, c + 1), params.omega);
-            at(r, c) = next;
-            delta = std::max(delta, std::fabs(next - old));
-            ++updated;
-          }
-          Work(updated * params.point_cost);
+          double* row = &at(r, 0);
+          const RowSweep s =
+              RelaxRow(row, row - cols, row + cols, FirstOfColor(1, r, color), cols - 2, omega);
+          delta = std::max(delta, s.max_delta);
+          Work(s.updated * params.point_cost);
         }
       }
       iterations = iter + 1;

@@ -328,8 +328,12 @@ void Runtime::ThreadMain(ThreadObject* t) {
   for (sim::Fiber* w : t->join_waiters_) {
     sim_->Wake(w, sim_->Now());
   }
-  t->join_waiters_.clear();
-  t->frames_.clear();
+  // A finished thread keeps only what Join and TryJoin still read (its name
+  // and result): the body's bound arguments and the vectors' capacity go
+  // back to the host heap now instead of at teardown.
+  t->body_ = nullptr;
+  std::vector<sim::Fiber*>().swap(t->join_waiters_);
+  std::vector<Frame>().swap(t->frames_);
 }
 
 // --- Object construction --------------------------------------------------------

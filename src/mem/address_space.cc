@@ -2,6 +2,8 @@
 
 #include <sys/mman.h>
 
+#include <algorithm>
+
 #include "src/base/panic.h"
 
 namespace mem {
@@ -45,12 +47,16 @@ NodeId GlobalAddressSpace::HomeOf(const void* p) const {
   return owners_[static_cast<size_t>(RegionIndexOf(p))];
 }
 
-void GlobalAddressSpace::CommitRegion(int64_t index, NodeId owner) {
-  AMBER_CHECK(index >= 0 && static_cast<size_t>(index) < owners_.size());
-  AMBER_CHECK(owners_[static_cast<size_t>(index)] == kNoNode) << "region already assigned";
-  AMBER_CHECK(mprotect(RegionBase(index), kRegionSize, PROT_READ | PROT_WRITE) == 0);
-  owners_[static_cast<size_t>(index)] = owner;
-  ++committed_;
+void GlobalAddressSpace::CommitRegions(int64_t first, std::span<const NodeId> owners) {
+  AMBER_CHECK(first >= 0 && static_cast<size_t>(first) + owners.size() <= owners_.size());
+  const size_t base = static_cast<size_t>(first);
+  for (size_t i = 0; i < owners.size(); ++i) {
+    AMBER_CHECK(owners_[base + i] == kNoNode) << "region already assigned";
+  }
+  AMBER_CHECK(mprotect(RegionBase(first), owners.size() * kRegionSize, PROT_READ | PROT_WRITE) ==
+              0);
+  std::copy(owners.begin(), owners.end(), owners_.begin() + static_cast<ptrdiff_t>(base));
+  committed_ += owners.size();
 }
 
 }  // namespace mem

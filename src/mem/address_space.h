@@ -18,6 +18,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/sim/fiber.h"  // for NodeId
@@ -56,7 +57,11 @@ class GlobalAddressSpace {
 
   // Commits a region (read/write) and records its owner. Called only by the
   // AddressSpaceServer.
-  void CommitRegion(int64_t index, NodeId owner);
+  void CommitRegion(int64_t index, NodeId owner) { CommitRegions(index, {&owner, 1}); }
+
+  // Commits the contiguous regions first .. first + owners.size() - 1 with
+  // one mprotect and records owners[i] as region first + i's owner.
+  void CommitRegions(int64_t first, std::span<const NodeId> owners);
 
   size_t committed_regions() const { return committed_; }
 

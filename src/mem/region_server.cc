@@ -1,5 +1,7 @@
 #include "src/mem/region_server.h"
 
+#include <vector>
+
 #include "src/base/panic.h"
 
 namespace mem {
@@ -11,11 +13,15 @@ RegionServer::RegionServer(GlobalAddressSpace* space, int nodes, int initial_reg
   AMBER_CHECK(initial_regions_per_node >= 1);
   AMBER_CHECK(static_cast<size_t>(nodes) * initial_regions_per_node <= space->total_regions())
       << "arena too small for initial region grants";
+  // Node n's pool is regions [n * k, (n + 1) * k): one contiguous block,
+  // committed at once.
+  std::vector<NodeId> owners;
+  owners.reserve(static_cast<size_t>(nodes) * initial_regions_per_node);
   for (NodeId n = 0; n < nodes; ++n) {
-    for (int i = 0; i < initial_regions_per_node; ++i) {
-      space_->CommitRegion(next_region_++, n);
-    }
+    owners.insert(owners.end(), static_cast<size_t>(initial_regions_per_node), n);
   }
+  space_->CommitRegions(0, owners);
+  next_region_ = static_cast<int64_t>(owners.size());
 }
 
 int64_t RegionServer::AcquireRegion(NodeId node) {

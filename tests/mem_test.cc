@@ -60,6 +60,12 @@ TEST(RegionServerTest, InitialGrantsRoundRobin) {
   EXPECT_EQ(gas.RegionOwner(1), 0);
   EXPECT_EQ(gas.RegionOwner(2), 1);
   EXPECT_EQ(gas.RegionOwner(7), 3);
+  // The initial block is committed as one range: its first and last bytes
+  // are writable, and the region after it is neither committed nor owned.
+  static_cast<volatile uint8_t*>(gas.RegionBase(0))[0] = 1;
+  static_cast<volatile uint8_t*>(gas.RegionBase(7))[kRegionSize - 1] = 1;
+  EXPECT_EQ(gas.committed_regions(), 8u);
+  EXPECT_EQ(gas.RegionOwner(8), kNoNode);
 }
 
 TEST(RegionServerTest, AcquireExtendsAPool) {

@@ -1,10 +1,14 @@
 // Tests for the Red/Black SOR application: numerical correctness against
 // the sequential baseline (bitwise), convergence behaviour, overlap
-// equivalence, and parallel speedup shape.
+// equivalence, parallel speedup shape, and recorded grids, residuals and
+// solve times for strip shapes at the kernel's edge cases.
 
 #include "src/apps/sor/sor.h"
 
 #include <gtest/gtest.h>
+
+#include <ostream>
+#include <string>
 
 namespace sor {
 namespace {
@@ -179,6 +183,82 @@ TEST(SorConfigTest, ExplicitThreadsPerSection) {
   const Result par = RunAmberOn(2, 2, p, DefaultCost());
   EXPECT_EQ(par.grid_hash, seq.grid_hash);
 }
+
+// --- Recorded results ------------------------------------------------------------
+//
+// The equivalence tests above compare the parallel run with the sequential
+// one, which would stay equal if both drifted together. These pin each run's
+// own grid, iteration count, residual and virtual solve time, recorded from
+// the per-point loops the row kernel replaced. The shapes cover strips of
+// width 2 (no interior/boundary split under overlap), 3 and 10-11 with odd and
+// even first columns, row blocks that end short or are empty, overlap on and
+// off, the sequential baseline, and tolerances that stop on the residual.
+
+struct GoldenCase {
+  const char* name;
+  int nodes;  // 0 = the sequential baseline
+  int procs;
+  int rows;
+  int cols;
+  int sections;
+  int threads_per_section;
+  bool overlap;
+  double tolerance;
+  int max_iterations;
+  uint64_t grid_hash;
+  int iterations;
+  double final_delta;
+  Time solve_time;
+};
+
+constexpr GoldenCase kGoldenCases[] = {
+    // widths 3,3,3,3,2,2,2,2: first columns 0,3,6,9,12,14,16,18
+    {"Widths3And2Overlap", 4, 2, 17, 20, 8, 0, true, 0.0, 9,
+     11469233719185007603ULL, 9, 2.7387146315231092, 157460160},
+    {"Widths3And2NoOverlap", 4, 2, 17, 20, 8, 0, false, 0.0, 9,
+     11469233719185007603ULL, 9, 2.7387146315231092, 188864420},
+    // width 3 everywhere, 3 row blocks of 6 with a short last one (17 rows)
+    {"Width3ShortBlockOverlap", 4, 2, 17, 24, 8, 3, true, 1e-2, 400,
+     8581410749986316166ULL, 70, 0.0092675107962563175, 1030750580},
+    {"Width2NoOverlap", 2, 2, 14, 16, 8, 0, false, 1e-2, 400,
+     2530814067738839690ULL, 40, 0.0094775486295439748, 606127080},
+    // widths 11,11,10,10: first columns 0,11,22,32
+    {"Widths11And10ShortBlockOverlap", 2, 2, 18, 42, 4, 4, true, 1e-3, 5000,
+     13920979273913299610ULL, 135, 0.00098342429995312841, 1556134920},
+    // 7 blocks of 3 rows over 18: the last block is empty
+    {"Widths11And10EmptyBlockNoOverlap", 4, 1, 18, 42, 4, 7, false, 1e-3, 5000,
+     13920979273913299610ULL, 135, 0.00098342429995312841, 4098354380},
+    {"SequentialTolerance", 0, 0, 18, 42, 4, 0, true, 1e-3, 5000,
+     13920979273913299610ULL, 135, 0.00098342429995312841, 864000000},
+    {"SequentialOddShape", 0, 0, 17, 25, 1, 0, true, 0.0, 11,
+     7897737499936859823ULL, 11, 2.3381430141177475, 37950000},
+};
+
+void PrintTo(const GoldenCase& g, std::ostream* os) { *os << g.name; }
+
+class SorGolden : public ::testing::TestWithParam<GoldenCase> {};
+
+TEST_P(SorGolden, MatchesRecordedResult) {
+  const GoldenCase& g = GetParam();
+  Params p;
+  p.rows = g.rows;
+  p.cols = g.cols;
+  p.sections = g.sections;
+  p.threads_per_section = g.threads_per_section;
+  p.overlap = g.overlap;
+  p.tolerance = g.tolerance;
+  p.max_iterations = g.max_iterations;
+  p.point_cost = amber::Micros(10);
+  const Result r = g.nodes == 0 ? RunSequentialOn(p, DefaultCost())
+                                : RunAmberOn(g.nodes, g.procs, p, DefaultCost());
+  EXPECT_EQ(r.grid_hash, g.grid_hash);
+  EXPECT_EQ(r.iterations, g.iterations);
+  EXPECT_EQ(r.final_delta, g.final_delta);
+  EXPECT_EQ(r.solve_time, g.solve_time);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, SorGolden, ::testing::ValuesIn(kGoldenCases),
+                         [](const auto& info) { return std::string(info.param.name); });
 
 TEST(SorConfigTest, SingleSectionDegeneratesGracefully) {
   Params p = SmallProblem();

@@ -1,9 +1,46 @@
 // Additional thread-layer tests: nested invocation chains, threads
-// spawning threads, cross-node joins, stack reuse, and stress.
+// spawning threads, cross-node joins, stack reuse, stress, and the host
+// memory a finished thread gives back. Every global operator new and delete
+// in this binary is counted, so the last is checked directly.
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <new>
+
 #include "src/core/amber.h"
+
+namespace {
+int64_t g_live_allocations = 0;  // operator new calls not yet deleted
+
+void* CountedAlloc(std::size_t n, std::size_t align) {
+  ++g_live_allocations;
+  n = n == 0 ? 1 : n;
+  void* p = align <= alignof(std::max_align_t)
+                ? std::malloc(n)
+                : std::aligned_alloc(align, (n + align - 1) / align * align);
+  if (p == nullptr) {
+    throw std::bad_alloc();
+  }
+  return p;
+}
+
+void CountedFree(void* p) {
+  if (p != nullptr) {
+    --g_live_allocations;
+    std::free(p);
+  }
+}
+}  // namespace
+
+void* operator new(std::size_t n) { return CountedAlloc(n, alignof(std::max_align_t)); }
+void* operator new(std::size_t n, std::align_val_t align) {
+  return CountedAlloc(n, static_cast<std::size_t>(align));
+}
+void operator delete(void* p) noexcept { CountedFree(p); }
+void operator delete(void* p, std::size_t) noexcept { CountedFree(p); }
+void operator delete(void* p, std::align_val_t) noexcept { CountedFree(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { CountedFree(p); }
 
 namespace amber {
 namespace {
@@ -154,6 +191,51 @@ TEST(ThreadExtraTest, TwoHundredThreadsStress) {
     EXPECT_EQ(sink.Call(&Sink::count), 200);
     rt.ValidateLocationInvariants();
   });
+}
+
+class Summer : public Object {
+ public:
+  void Add(std::vector<double> values) {
+    for (double v : values) {
+      total_ += v;
+    }
+  }
+  double total() const { return total_; }
+
+ private:
+  double total_ = 0.0;
+};
+
+// Host allocations still live, before teardown, after `threads` threads ran
+// and were joined. Each thread's body holds a vector argument in a capture
+// past std::function's small buffer, and makes one remote call.
+int64_t LiveAllocationsAfterThreads(int threads) {
+  Runtime rt(TestConfig(2, 2));
+  int64_t live = 0;
+  rt.Run([&] {
+    auto summer = NewOn<Summer>(1);
+    const std::vector<double> values(16, 1.0);
+    std::vector<ThreadRef<void>> ts;
+    ts.reserve(static_cast<size_t>(threads));
+    const int64_t before = g_live_allocations;
+    for (int i = 0; i < threads; ++i) {
+      ts.push_back(StartThread(summer, &Summer::Add, values));
+    }
+    for (auto& t : ts) {
+      t.Join();
+    }
+    EXPECT_EQ(summer.Call(&Summer::total), 16.0 * threads);
+    live = g_live_allocations - before;
+  });
+  return live;
+}
+
+TEST(ThreadExtraTest, FinishedThreadsReleaseTheirHostState) {
+  // The runtime's own tables grow by whole blocks, alike at N and 2N; a
+  // finished thread that kept its body, frames or join waiters would leave
+  // allocations that grow with N.
+  constexpr int kThreads = 24;
+  EXPECT_EQ(LiveAllocationsAfterThreads(2 * kThreads), LiveAllocationsAfterThreads(kThreads));
 }
 
 TEST(ThreadExtraTest, ResultTypesRoundTrip) {
