@@ -58,15 +58,15 @@ int64_t MoveBytes(const Object* o) {
 }  // namespace
 
 // The registry's observer on the event bus. SetMetrics attaches one per
-// registry, like any other observer, and it records every runtime metric
-// whose fact an event carries. Per-event families go through handles
-// resolved once per (family, node/link/lock) (metrics::FamilyHandles); rare
-// ones look up by name. The inline metric sites (facts no event carries)
-// use the handles at the end.
+// registry, like any other observer; it pre-registers the live-path
+// families, records every runtime metric family from the events and
+// publishes the run totals, so the runtime records nothing itself.
+// Per-event families go through handles resolved once per (family,
+// node/link/lock) (metrics::FamilyHandles); rare ones look up by name.
 struct Runtime::MetricHandles : public RuntimeObserver {
-  MetricHandles(metrics::Registry* r, const sim::Kernel* kernel)
+  MetricHandles(metrics::Registry* r, const Runtime& rt)
       : registry(r),
-        kernel(kernel),
+        rt(rt),
         threads_created(r, "sched.threads.created"),
         runqueue_wait(r, "sched.runqueue.wait"),
         runqueue_depth(r, "sched.runqueue.depth"),
@@ -83,7 +83,43 @@ struct Runtime::MetricHandles : public RuntimeObserver {
         lock_hold_ns(r, "lock.hold_ns"),
         migration_latency(r, "amber.migration.latency"),
         migration_bytes(r, "amber.migration.bytes"),
-        forward_chain(r, "amber.forward.chain") {}
+        forward_chain(r, "amber.forward.chain") {
+    // The live-path families render even if the run never hits them.
+    for (NodeId n = 0; n < rt.nodes(); ++n) {
+      r->GetHistogram("amber.invoke.latency.local", n);
+      r->GetHistogram("amber.invoke.latency.remote", n);
+      r->GetHistogram("sched.runqueue.wait", n);
+      r->GetHistogram("sched.runqueue.depth", n);
+      r->GetHistogram("sync.lock.wait", n);
+      r->GetHistogram("rpc.roundtrip.latency", n);
+    }
+    r->GetHistogram("amber.migration.latency");
+    r->GetHistogram("amber.move.latency");
+    r->GetHistogram("amber.forward.chain");
+    r->GetHistogram("sync.lock.hold");
+    r->GetCounter("amber.migration.bytes");
+    r->GetCounter("amber.move.bytes");
+    r->GetCounter("amber.replica.fetches");
+    r->GetCounter("sync.condition.wakeups");
+  }
+
+  // --- Mobility ------------------------------------------------------------------
+  void OnMigrationLanded(Time when, NodeId node, ThreadId thread, Duration latency,
+                         int64_t bytes) override {
+    migration_latency.Total().Record(static_cast<double>(latency));
+    migration_bytes.Total().Add(bytes);
+  }
+  void OnChaseEnd(Time when, NodeId node, ThreadId thread, const void* obj, int hops) override {
+    forward_chain.Total().Record(static_cast<double>(hops));
+  }
+  void OnMoveLanded(Time when, NodeId node, ThreadId thread, const void* obj, Duration latency,
+                    int64_t bytes) override {
+    registry->GetHistogram("amber.move.latency").Record(static_cast<double>(latency));
+    registry->GetCounter("amber.move.bytes").Add(bytes);
+  }
+  void OnReplicaFetch(Time when, NodeId node, ThreadId thread, const void* obj) override {
+    registry->GetCounter("amber.replica.fetches").Add();
+  }
 
   // --- Scheduler ---------------------------------------------------------------
   void OnThreadCreate(Time when, NodeId node, ThreadId thread, const std::string& name,
@@ -92,7 +128,7 @@ struct Runtime::MetricHandles : public RuntimeObserver {
   }
   void OnThreadDispatch(Time when, NodeId node, ThreadId thread, Duration queue_wait) override {
     runqueue_wait.Node(node).Record(static_cast<double>(queue_wait));
-    runqueue_depth.Node(node).Record(static_cast<double>(kernel->RunQueueLength(node)));
+    runqueue_depth.Node(node).Record(static_cast<double>(rt.sim_->RunQueueLength(node)));
   }
   void OnThreadPreempt(Time when, NodeId node, ThreadId thread) override {
     preempts.Node(node).Add();
@@ -123,7 +159,10 @@ struct Runtime::MetricHandles : public RuntimeObserver {
   void OnRpcRetry(Time when, NodeId src, NodeId dst, uint64_t id, int attempt,
                   ThreadId requester) override {
     registry->GetCounter("rpc.retries").Add();
-    rpc_retried.insert(id);
+    // A retried thread travel has no request event and never a response.
+    if (rpc_depart.contains(id)) {
+      rpc_retried.insert(id);
+    }
   }
   void OnRpcTimeout(Time when, NodeId src, NodeId dst, uint64_t id, int attempts,
                     ThreadId requester) override {
@@ -134,8 +173,8 @@ struct Runtime::MetricHandles : public RuntimeObserver {
 
   // --- Network and faults --------------------------------------------------------
   void OnMessage(Time depart, Time arrive, NodeId src, NodeId dst, int64_t bytes) override {
-    link_messages.Link(src, dst, kernel->nodes()).Add();
-    link_bytes.Link(src, dst, kernel->nodes()).Add(bytes);
+    link_messages.Link(src, dst, rt.nodes()).Add();
+    link_bytes.Link(src, dst, rt.nodes()).Add(bytes);
   }
   void OnMessageDropped(Time when, NodeId src, NodeId dst, int64_t bytes,
                         const char* reason) override {
@@ -150,9 +189,33 @@ struct Runtime::MetricHandles : public RuntimeObserver {
   }
   void OnNodeCrash(Time when, NodeId node) override {
     registry->GetCounter("fault.node.crashes", node).Add();
+    crashed_at[node] = when;
   }
   void OnNodeRestart(Time when, NodeId node) override {
     registry->GetCounter("fault.node.restarts", node).Add();
+    crashed_at.erase(node);
+  }
+  void OnObjectUnreachable(Time when, NodeId node, ThreadId thread, const void* obj,
+                           uint64_t seq, NodeId dead) override {
+    // Labelled with the chased object's creation-sequence id alongside the
+    // dead node (pointers would not be stable across runs), so the counter
+    // says *what* was unreachable, not just where.
+    std::string label = "node" + std::to_string(dead);
+    if (seq != 0) {
+      label = "obj" + std::to_string(seq) + "@" + label;
+    }
+    registry->GetCounter("fault.unreachable", label).Add();
+  }
+  // Detection quality, graded against the injector's ground truth (the one
+  // sanctioned oracle use: tests judge the protocol with it). A suspicion is
+  // genuine when the node is down or partitioned away from `by`.
+  void OnNodeSuspected(Time when, NodeId by, NodeId node) override {
+    const bool genuine = !rt.injector_->Reachable(by, node, when);
+    registry->GetCounter(genuine ? "member.suspicions" : "member.false_suspicions").Add();
+    if (auto it = crashed_at.find(node); it != crashed_at.end()) {
+      const double latency = static_cast<double>(when - it->second);
+      registry->GetHistogram("member.detect_latency").Record(latency);
+    }
   }
 
   // --- Invocation and contention -------------------------------------------------
@@ -177,8 +240,25 @@ struct Runtime::MetricHandles : public RuntimeObserver {
   void OnConditionWake(Time when, NodeId node, int condition, int woken) override {
     registry->GetCounter("sync.condition.wakeups").Add(woken);
   }
+  void OnBarrierWait(Time when, NodeId node, ThreadId thread) override {
+    registry->GetCounter("sync.barrier.waits", node).Add();
+  }
 
   // --- Recovery, drain and placement ---------------------------------------------
+  void OnCheckpoint(Time when, const void* obj, NodeId buddy, int64_t bytes) override {
+    registry->GetCounter("recovery.checkpoints").Add();
+    registry->GetCounter("recovery.checkpoint.bytes").Add(bytes);
+  }
+  void OnRecoveryStart(Time when, NodeId node, ThreadId thread, const void* obj) override {
+    recovery_start[thread] = when;
+  }
+  void OnRecoveryEnd(Time when, NodeId node, ThreadId thread, const void* obj, bool ok) override {
+    if (ok) {
+      registry->GetHistogram("recovery.latency")
+          .Record(static_cast<double>(when - recovery_start[thread]));
+    }
+    recovery_start.erase(thread);
+  }
   void OnObjectRecovered(Time when, const void* obj, NodeId from, NodeId to,
                          bool from_checkpoint) override {
     registry->GetCounter(from_checkpoint ? "recovery.restores" : "recovery.rebinds").Add();
@@ -191,12 +271,59 @@ struct Runtime::MetricHandles : public RuntimeObserver {
     registry->GetCounter(ok ? "policy.migrations" : "policy.migrations.failed", to).Add();
   }
 
+  // Copies the scalar run totals (object/migration counters, network and
+  // simulator activity, per-node busy time) into the registry, then the
+  // black box's and the placement policy's own.
+  void PublishRunTotals(Time end) {
+    metrics::Registry& m = *registry;
+    m.GetCounter("amber.objects.created").Add(rt.objects_created_);
+    m.GetCounter("amber.objects.moved").Add(rt.objects_moved_);
+    m.GetCounter("amber.replicas.installed").Add(rt.replicas_installed_);
+    m.GetCounter("amber.threads.migrated").Add(rt.thread_migrations_);
+    m.GetCounter("amber.forward.hops").Add(rt.forward_hops_);
+    for (NodeId s = 0; s < rt.nodes(); ++s) {
+      for (NodeId d = 0; d < rt.nodes(); ++d) {
+        const int64_t c = rt.MigrationCount(s, d);
+        if (c != 0) {
+          m.GetCounter("amber.migration.matrix", metrics::Registry::LinkLabel(s, d)).Add(c);
+        }
+      }
+    }
+    m.GetCounter("net.messages").Add(rt.net_->messages());
+    m.GetCounter("net.bytes").Add(rt.net_->bytes_sent());
+    m.GetCounter("net.fragments").Add(rt.net_->fragments());
+    m.GetGauge("net.busy_ns").Set(static_cast<double>(rt.net_->busy_time()));
+    m.GetCounter("rpc.roundtrips").Add(rt.rpc_->roundtrips());
+    m.GetCounter("rpc.travels").Add(rt.rpc_->travels());
+    if (rt.rpc_->duplicates_suppressed() != 0) {
+      // Absent until the first suppression, as in the transport's own count.
+      m.GetCounter("rpc.dup_suppressed").Add(rt.rpc_->duplicates_suppressed());
+    }
+    m.GetCounter("sim.events").Add(static_cast<int64_t>(rt.sim_->events_run()));
+    m.GetCounter("sim.dispatches").Add(static_cast<int64_t>(rt.sim_->dispatches()));
+    m.GetCounter("sim.preemptions").Add(static_cast<int64_t>(rt.sim_->preemptions()));
+    for (NodeId n = 0; n < rt.nodes(); ++n) {
+      m.GetGauge("sched.busy_ns", n).Set(static_cast<double>(rt.sim_->NodeBusyTime(n)));
+    }
+    m.GetGauge("run.virtual_time").Set(static_cast<double>(end));
+    m.GetGauge("run.nodes").Set(static_cast<double>(rt.nodes()));
+    m.GetGauge("run.procs_per_node").Set(static_cast<double>(rt.procs_per_node()));
+    if (rt.blackbox_ != nullptr) {
+      rt.blackbox_->PublishMetrics(registry);
+    }
+    if (rt.policy_ != nullptr) {
+      rt.policy_->PublishMetrics(registry);
+    }
+  }
+
   metrics::Registry* registry;
-  const sim::Kernel* kernel;  // run-queue depth at dispatch, node count
+  const Runtime& rt;
   // depart time per in-flight rpc id (erased on response) for latency.
   std::unordered_map<uint64_t, Time> rpc_depart;
   // ids that needed at least one retransmission (for rpc.retry.latency).
   std::unordered_set<uint64_t> rpc_retried;
+  std::unordered_map<NodeId, Time> crashed_at;  // nodes down now: when they crashed
+  std::unordered_map<ThreadId, Time> recovery_start;  // per thread in recovery
   metrics::FamilyHandles<metrics::Counter> threads_created;
   metrics::FamilyHandles<metrics::Histogram> runqueue_wait;
   metrics::FamilyHandles<metrics::Histogram> runqueue_depth;
@@ -211,7 +338,6 @@ struct Runtime::MetricHandles : public RuntimeObserver {
   metrics::FamilyHandles<metrics::Histogram> lock_hold;     // total
   metrics::FamilyHandles<metrics::Histogram> lock_wait_ns;  // by lock id
   metrics::FamilyHandles<metrics::Histogram> lock_hold_ns;  // by lock id
-  // Inline sites (Runtime::TravelThread, Runtime::EnsureResident).
   metrics::FamilyHandles<metrics::Histogram> migration_latency;
   metrics::FamilyHandles<metrics::Counter> migration_bytes;
   metrics::FamilyHandles<metrics::Histogram> forward_chain;
@@ -312,7 +438,9 @@ Time Runtime::Run(std::function<void()> main) {
   t->fiber_->user_data = t;
   threads_.push_back(t);
   const Time end = sim_->Run();
-  PublishRunTotals(end);
+  if (metric_handles_ != nullptr) {
+    metric_handles_->PublishRunTotals(end);
+  }
   if (policy_ != nullptr) {
     policy_->OnRunEnd(end);
   }
@@ -584,11 +712,8 @@ Status Runtime::TravelThread(NodeId dst, int64_t extra_bytes) {
   if (!reliable) {
     rpc_->Travel(dst, payload);
   }
-  if (metrics_ != nullptr) {
-    // Departure decision to running again at dst (marshal + wire + dispatch).
-    metric_handles_->migration_latency.Total().Record(static_cast<double>(sim_->Now() - depart));
-    metric_handles_->migration_bytes.Total().Add(payload);
-  }
+  const Time now = sim_->Now();
+  sim_->Emit(&RuntimeObserver::OnMigrationLanded, now, dst, t->fiber_->id, now - depart, payload);
   return Status::kOk;
 }
 
@@ -683,8 +808,8 @@ void Runtime::EnsureResident(Object* obj, int64_t payload_bytes) {
     failures = 0;
     visited.emplace_back(cur, target);
   }
-  if (hops > 0 && metrics_ != nullptr) {
-    metric_handles_->forward_chain.Total().Record(static_cast<double>(hops));
+  if (hops > 0) {
+    sim_->Emit(&RuntimeObserver::OnChaseEnd, sim_->Now(), here(), t->fiber_->id, obj, hops);
   }
   // Path compaction (§3.3): every node along the chain learns the final
   // location, via asynchronous hint updates.
@@ -809,16 +934,8 @@ NodeId Runtime::BroadcastLocate(Object* obj) {
 }
 
 void Runtime::HandleUnreachable(Object* obj, NodeId node, int attempts) {
-  if (metrics_ != nullptr) {
-    // Labelled with the chased object's creation-sequence id alongside the
-    // dead node (pointers would not be stable across runs), so the counter
-    // says *what* was unreachable, not just where.
-    std::string label = "node" + std::to_string(node);
-    if (obj != nullptr && obj->header_.seq != 0) {
-      label = "obj" + std::to_string(obj->header_.seq) + "@" + label;
-    }
-    metrics_->GetCounter("fault.unreachable", label).Add();
-  }
+  sim_->Emit(&RuntimeObserver::OnObjectUnreachable, sim_->Now(), here(), sim_->current()->id,
+             obj, obj->header_.seq, node);
   FailureAction action = FailureAction::kAbort;
   if (failure_handler_) {
     action = failure_handler_(FailureEvent{Status::kUnreachable, obj, node, attempts});
@@ -861,9 +978,7 @@ bool Runtime::ProbeDescriptor(Object* obj, NodeId node, int64_t held_reply_bytes
 
 Status Runtime::FetchReplica(Object* obj, NodeId from) {
   const NodeId cur = here();
-  if (metrics_ != nullptr) {
-    metrics_->GetCounter("amber.replica.fetches").Add();
-  }
+  sim_->Emit(&RuntimeObserver::OnReplicaFetch, sim_->Now(), cur, sim_->current()->id, obj);
   NodeId target = from;
   int hops = 0;
   const int64_t obj_bytes = static_cast<int64_t>(obj->header_.size);
@@ -1070,18 +1185,13 @@ Status Runtime::MoveOutLocal(Object* obj, NodeId dst, bool* moved) {
   sim_->Wake(sim_->current(), tx.arrival + cost().move_install);
   sim_->Block();
   ++objects_moved_;
-  sim_->Emit(&RuntimeObserver::OnObjectMove, sim_->Now(), obj, src, dst, total);
-  RecordMove(move_start, total);
+  const Time now = sim_->Now();
+  sim_->Emit(&RuntimeObserver::OnObjectMove, now, obj, src, dst, total);
+  sim_->Emit(&RuntimeObserver::OnMoveLanded, now, src, sim_->current()->id, obj,
+             now - move_start, total);
   MaybeRecheckpoint(obj);
   *moved = true;
   return Status::kOk;
-}
-
-void Runtime::RecordMove(Time start, int64_t bytes) {
-  if (metrics_ != nullptr) {
-    metrics_->GetHistogram("amber.move.latency").Record(static_cast<double>(sim_->Now() - start));
-    metrics_->GetCounter("amber.move.bytes").Add(bytes);
-  }
 }
 
 net::TxResult Runtime::ShipClosure(Object* obj, NodeId owner, NodeId dst, int64_t* bytes) {
@@ -1179,7 +1289,8 @@ Status Runtime::RequestRemoteMove(Object* obj, NodeId owner, NodeId dst, bool* a
     sim_->Block();
   }
   if (accepted) {
-    RecordMove(move_start, moved_bytes);
+    sim_->Emit(&RuntimeObserver::OnMoveLanded, sim_->Now(), cur, sim_->current()->id, obj,
+               sim_->Now() - move_start, moved_bytes);
     MaybeRecheckpoint(obj);
   }
   *accepted_out = accepted;
@@ -1381,11 +1492,7 @@ bool Runtime::CheckpointObject(Object* obj) {
   CheckpointRecord& rec = checkpoints_[obj];
   rec.bytes = std::move(bytes);
   rec.buddy = buddy;
-  rec.when = sim_->Now();
-  if (metrics_ != nullptr) {
-    metrics_->GetCounter("recovery.checkpoints").Add();
-    metrics_->GetCounter("recovery.checkpoint.bytes").Add(wire);
-  }
+  sim_->Emit(&RuntimeObserver::OnCheckpoint, sim_->Now(), obj, buddy, wire);
   return true;
 }
 
@@ -1402,18 +1509,15 @@ bool Runtime::RecoverObject(Object* obj, NodeId node) {
   if (obj->header_.IsThread()) {
     return false;  // a thread's stack is not recoverable state
   }
-  NotifyRecoveryStart(obj);
-  const Time start = sim_->Now();
+  const ThreadId self = sim_->current()->id;
+  sim_->Emit(&RuntimeObserver::OnRecoveryStart, sim_->Now(), here(), self, obj);
   bool ok = false;
   if (obj->header_.IsImmutable()) {
     ok = RecoverImmutable(obj, node);
   } else if (checkpoints_.find(obj) != checkpoints_.end()) {
     ok = RecoverMutable(obj, node);
   }
-  NotifyRecoveryEnd(obj, ok);
-  if (ok && metrics_ != nullptr) {
-    metrics_->GetHistogram("recovery.latency").Record(static_cast<double>(sim_->Now() - start));
-  }
+  sim_->Emit(&RuntimeObserver::OnRecoveryEnd, sim_->Now(), here(), self, obj, ok);
   return ok;
 }
 
@@ -1564,21 +1668,6 @@ int Runtime::DrainNode(NodeId node) {
 
 void Runtime::OnPeerSuspected(Time when, NodeId by, NodeId peer) {
   sim_->Emit(&RuntimeObserver::OnNodeSuspected, when, by, peer);
-  if (metrics_ != nullptr) {
-    // Detection quality, graded against the injector's ground truth (the
-    // one sanctioned oracle use: tests judge the protocol with it).
-    if (!sim_->NodeUp(peer)) {
-      metrics_->GetCounter("member.suspicions").Add();
-      if (!crash_time_.empty() && crash_time_[static_cast<size_t>(peer)] >= 0) {
-        metrics_->GetHistogram("member.detect_latency")
-            .Record(static_cast<double>(when - crash_time_[static_cast<size_t>(peer)]));
-      }
-    } else if (injector_ != nullptr && !injector_->Reachable(by, peer, when)) {
-      metrics_->GetCounter("member.suspicions").Add();  // partitioned: genuine
-    } else {
-      metrics_->GetCounter("member.false_suspicions").Add();
-    }
-  }
   // Threads homed on the suspected node are *lost*: their joiners must not
   // sleep forever waiting on a node that cannot answer.
   for (ThreadObject* t : threads_) {
@@ -1607,13 +1696,9 @@ void Runtime::OnPeerTrusted(Time when, NodeId by, NodeId peer) {
 
 void Runtime::OnNodeEvent(Time when, NodeId node, bool up) {
   if (!up) {
-    crash_time_[static_cast<size_t>(node)] = when;
     return;
   }
-  crash_time_[static_cast<size_t>(node)] = Time{-1};
-  if (membership_ != nullptr) {
-    membership_->OnNodeRestart(when, node);
-  }
+  membership_->OnNodeRestart(when, node);
   // Boot-time repair: point the node at the objects recovered away from it
   // while it was down, so chases leave immediately — an immutable object's
   // stale copy is still a perfectly good replica.
@@ -1637,14 +1722,6 @@ void Runtime::OnNodeEvent(Time when, NodeId node, bool up) {
       t->lost_ = false;
     }
   }
-}
-
-void Runtime::NotifyRecoveryStart(const Object* obj) {
-  sim_->Emit(&RuntimeObserver::OnRecoveryStart, sim_->Now(), here(), sim_->current()->id, obj);
-}
-
-void Runtime::NotifyRecoveryEnd(const Object* obj, bool ok) {
-  sim_->Emit(&RuntimeObserver::OnRecoveryEnd, sim_->Now(), here(), sim_->current()->id, obj, ok);
 }
 
 // --- Threads -------------------------------------------------------------------------
@@ -1714,34 +1791,16 @@ void Runtime::SetMetrics(metrics::Registry* registry) {
   if (metric_handles_ != nullptr) {
     sim_->RemoveObserver(metric_handles_.get());
   }
-  metrics_ = registry;
   metric_handles_ =
-      registry != nullptr ? std::make_unique<MetricHandles>(registry, sim_.get()) : nullptr;
-  // Per-link histograms (net.link_bytes / net.link_queue_depth) are
-  // recorded inside the network itself — it alone sees channel backlog.
+      registry != nullptr ? std::make_unique<MetricHandles>(registry, *this) : nullptr;
   net_->SetMetrics(registry);
-  if (registry == nullptr) {
-    return;
+  if (registry != nullptr) {
+    sim_->AddObserver(metric_handles_.get());
   }
-  // Pre-register the live-path families so the document always contains
-  // them (at zero) even when the run never hits a path.
-  for (NodeId n = 0; n < nodes(); ++n) {
-    registry->GetHistogram("amber.invoke.latency.local", n);
-    registry->GetHistogram("amber.invoke.latency.remote", n);
-    registry->GetHistogram("sched.runqueue.wait", n);
-    registry->GetHistogram("sched.runqueue.depth", n);
-    registry->GetHistogram("sync.lock.wait", n);
-    registry->GetHistogram("rpc.roundtrip.latency", n);
-  }
-  registry->GetHistogram("amber.migration.latency");
-  registry->GetHistogram("amber.move.latency");
-  registry->GetHistogram("amber.forward.chain");
-  registry->GetHistogram("sync.lock.hold");
-  registry->GetCounter("amber.migration.bytes");
-  registry->GetCounter("amber.move.bytes");
-  registry->GetCounter("amber.replica.fetches");
-  registry->GetCounter("sync.condition.wakeups");
-  sim_->AddObserver(metric_handles_.get());
+}
+
+metrics::Registry* Runtime::metrics() const {
+  return metric_handles_ != nullptr ? metric_handles_->registry : nullptr;
 }
 
 void Runtime::SetBlackBox(BlackBox* recorder) {
@@ -1800,7 +1859,6 @@ void Runtime::SetFaultInjector(fault::Injector* injector) {
       // repair, screening and recovery paths ask *it* who is reachable; the
       // injector stays ground truth for tests and detection-quality metrics
       // only. An empty plan creates none of this (byte-identity contract).
-      crash_time_.assign(static_cast<size_t>(nodes()), Time{-1});
       membership_ = std::make_unique<fault::Membership>(sim_.get(), net_.get());
       membership_->SetSuspicionHandler(
           [this](Time when, NodeId by, NodeId peer) { OnPeerSuspected(when, by, peer); });
@@ -1812,51 +1870,6 @@ void Runtime::SetFaultInjector(fault::Injector* injector) {
       injector_->SetNodeEventHandler(
           [this](Time when, NodeId node, bool up) { OnNodeEvent(when, node, up); });
     }
-  }
-}
-
-void Runtime::PublishRunTotals(Time end) {
-  if (metrics_ == nullptr) {
-    return;
-  }
-  metrics::Registry& m = *metrics_;
-  m.GetCounter("amber.objects.created").Add(objects_created_);
-  m.GetCounter("amber.objects.moved").Add(objects_moved_);
-  m.GetCounter("amber.replicas.installed").Add(replicas_installed_);
-  m.GetCounter("amber.threads.migrated").Add(thread_migrations_);
-  m.GetCounter("amber.forward.hops").Add(forward_hops_);
-  for (NodeId s = 0; s < nodes(); ++s) {
-    for (NodeId d = 0; d < nodes(); ++d) {
-      const int64_t c = MigrationCount(s, d);
-      if (c != 0) {
-        m.GetCounter("amber.migration.matrix", metrics::Registry::LinkLabel(s, d)).Add(c);
-      }
-    }
-  }
-  m.GetCounter("net.messages").Add(net_->messages());
-  m.GetCounter("net.bytes").Add(net_->bytes_sent());
-  m.GetCounter("net.fragments").Add(net_->fragments());
-  m.GetGauge("net.busy_ns").Set(static_cast<double>(net_->busy_time()));
-  m.GetCounter("rpc.roundtrips").Add(rpc_->roundtrips());
-  m.GetCounter("rpc.travels").Add(rpc_->travels());
-  if (rpc_->duplicates_suppressed() != 0) {
-    // Absent until the first suppression, as in the transport's own count.
-    m.GetCounter("rpc.dup_suppressed").Add(rpc_->duplicates_suppressed());
-  }
-  m.GetCounter("sim.events").Add(static_cast<int64_t>(sim_->events_run()));
-  m.GetCounter("sim.dispatches").Add(static_cast<int64_t>(sim_->dispatches()));
-  m.GetCounter("sim.preemptions").Add(static_cast<int64_t>(sim_->preemptions()));
-  for (NodeId n = 0; n < nodes(); ++n) {
-    m.GetGauge("sched.busy_ns", n).Set(static_cast<double>(sim_->NodeBusyTime(n)));
-  }
-  m.GetGauge("run.virtual_time").Set(static_cast<double>(end));
-  m.GetGauge("run.nodes").Set(static_cast<double>(nodes()));
-  m.GetGauge("run.procs_per_node").Set(static_cast<double>(procs_per_node()));
-  if (blackbox_ != nullptr) {
-    blackbox_->PublishMetrics(metrics_);
-  }
-  if (policy_ != nullptr) {
-    policy_->PublishMetrics(metrics_);
   }
 }
 
@@ -1934,12 +1947,6 @@ void Runtime::NotifyConditionWake(const void* condition, int woken) {
   }
   sim_->Emit(&RuntimeObserver::OnConditionWake, sim_->Now(), here(), SyncObjectId(condition),
              woken);
-}
-
-void Runtime::NotifyBarrierWait() {
-  if (metrics_ != nullptr) {
-    metrics_->GetCounter("sync.barrier.waits", here()).Add();
-  }
 }
 
 // --- Validation -------------------------------------------------------------------------

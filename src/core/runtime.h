@@ -253,18 +253,15 @@ class Runtime {
   // the removed one had never been attached). No-op if not attached.
   void RemoveObserver(RuntimeObserver* observer);
 
-  // Attaches a metrics registry. The runtime pre-registers and fills the
-  // core metric families (see docs/OBSERVABILITY.md for the catalogue).
-  // Every family whose fact an event carries — scheduler, rpc, fault,
-  // per-link, invocation, lock, drain, recovery and policy — is recorded by
-  // an ordinary observer that this call adds to the bus, so it sees events
-  // at its place in attach order like any other. The few facts that are not
-  // on the bus (migration and move cost, forwarding chains, checkpoints,
-  // ...) are recorded inline, and scalar totals are published when Run()
-  // finishes. Call before Run(); nullptr detaches. With no registry
-  // attached the hot paths are untouched.
+  // Attaches a metrics registry. An ordinary observer that this call adds
+  // to the bus pre-registers and records every core metric family (see
+  // docs/OBSERVABILITY.md for the catalogue) from the events, at its place
+  // in attach order like any other, and publishes the scalar totals when
+  // Run() finishes; the runtime records nothing inline. Only the network's
+  // two per-link histograms are recorded where they happen (they need the
+  // channel backlog). Call before Run(); nullptr detaches.
   void SetMetrics(metrics::Registry* registry);
-  metrics::Registry* metrics() const { return metrics_; }
+  metrics::Registry* metrics() const;
 
   // Attaches a fault injector: hooks the network/kernel/transport and routes
   // fault events into the observer bus and the fault.* metrics. Call before
@@ -327,7 +324,6 @@ class Runtime {
   void NotifyLockHeldSince(const void* lock, Time when, ThreadObject* holder);
   void NotifyLockReleased(const void* lock);
   void NotifyConditionWake(const void* condition, int woken);
-  void NotifyBarrierWait();
 
   // --- Time / work -------------------------------------------------------------
 
@@ -441,16 +437,13 @@ class Runtime {
   // Refreshes the buddy checkpoint after a successful move of a recoverable
   // object (quiescent point: the object just landed and is not mid-write).
   void MaybeRecheckpoint(Object* obj);
-  // Membership suspicion/trust callbacks (virtual-time ordered): lost-thread
-  // marking, detection metrics graded against the injector oracle.
+  // Membership suspicion/trust callbacks (virtual-time ordered): announce
+  // the opinion on the bus and mark or revive lost threads.
   void OnPeerSuspected(Time when, NodeId by, NodeId peer);
   void OnPeerTrusted(Time when, NodeId by, NodeId peer);
-  // Semantic crash/restart hook from the injector (not the observability
-  // sink): ground-truth timestamps for detection-latency metrics, and
+  // Crash/restart hook from the injector (not the observability sink):
   // boot-time repair of the objects recovered away from a restarted node.
   void OnNodeEvent(Time when, NodeId node, bool up);
-  void NotifyRecoveryStart(const Object* obj);
-  void NotifyRecoveryEnd(const Object* obj, bool ok);
 
   // Fetches a replica of immutable obj from `from` (following the chain with
   // further roundtrips if stale) and installs it locally.
@@ -485,9 +478,6 @@ class Runtime {
   // dst has installed at `installed` — directly when dst is the requester's
   // node, else when dst's ack frame arrives.
   void AckInstall(sim::Fiber* requester, NodeId requester_node, NodeId dst, Time installed);
-  // Records a landed move's latency since `start` and its payload bytes
-  // into the attached registry, if any.
-  void RecordMove(Time start, int64_t bytes);
   // Installs a replica of immutable obj at dst (MoveTo-on-immutable, §2.3).
   Status ReplicateTo(Object* obj, NodeId dst);
   // Entry wrapper for every thread fiber: root frame, body, joiner wakeup.
@@ -522,9 +512,6 @@ class Runtime {
 
   // The demangled dynamic type of obj: the label of its invocation spans.
   const std::string& ObjectLabel(const Object* obj);
-  // Copies the scalar run totals (object/migration counters, network and
-  // simulator activity, per-node busy time) into the attached registry.
-  void PublishRunTotals(Time end);
   // Dense id for a lock/condition address, assigned in first-contention
   // order (deterministic, unlike the address itself).
   int SyncObjectId(const void* obj);
@@ -557,7 +544,6 @@ class Runtime {
   // one shared list, because a chase yields inside TravelThread.
   std::vector<std::vector<std::pair<NodeId, NodeId>>> chase_paths_;
   std::vector<int64_t> migration_matrix_;  // nodes x nodes, row = source
-  metrics::Registry* metrics_ = nullptr;
   fault::Injector* injector_ = nullptr;
   // Heartbeat/lease failure detector, created by SetFaultInjector for active
   // plans only — the runtime's repair/recovery paths ask it, never the
@@ -569,16 +555,12 @@ class Runtime {
   struct CheckpointRecord {
     std::vector<uint8_t> bytes;
     NodeId buddy = kNoNode;
-    Time when = 0;
   };
   std::unordered_map<Object*, CheckpointRecord> checkpoints_;
-  // Ground-truth crash instants (injector hook) for member.detect_latency.
-  std::vector<Time> crash_time_;
   // Per node, the objects recovered away from it since its last restart.
   std::vector<std::vector<Object*>> recovered_from_;
   FailureHandler failure_handler_;
-  // The registry's observer on the bus, and the handles of the inline
-  // metric sites (runtime.cc); null without a registry.
+  // The registry's observer on the bus (runtime.cc); null without a registry.
   struct MetricHandles;
   std::unique_ptr<MetricHandles> metric_handles_;
   // Invocation span labels, demangled once per dynamic type. Keyed by the

@@ -197,10 +197,7 @@ int64_t Barrier::Wait() {
   sim::Kernel& k = K();
   k.Charge(k.cost().barrier_op);
   k.Sync();
-  Runtime& rt = Runtime::Current();
-  if (rt.instrumented()) {
-    rt.NotifyBarrierWait();
-  }
+  k.Emit(&RuntimeObserver::OnBarrierWait, k.Now(), k.current()->node, k.current()->id);
   const int64_t my_phase = phase_;
   if (++arrived_ < parties_) {
     waiting_.push_back(k.current());

@@ -263,6 +263,11 @@ void Recorder::OnThreadMigrate(Time when, NodeId src, NodeId dst, ThreadId threa
   ThreadLive& t = Thread(thread);
   t.pending = WaitKind::kMigration;
   t.pending_node = dst;
+  // A reliable travel announces the migration once the thread has landed.
+  if (auto it = travels_.find(thread); it != travels_.end()) {
+    rpcs_.erase(it->second);
+    travels_.erase(it);
+  }
 }
 
 void Recorder::OnInvokeEnter(Time when, NodeId node, ThreadId thread, const void* obj,
@@ -353,9 +358,10 @@ void Recorder::OnRpcRetry(Time when, NodeId src, NodeId dst, uint64_t id, int at
     it->second.attempts = attempt + 1;  // attempt is the 1-based retransmission count
   } else {
     // Thread travels emit no request event for their first transmission —
-    // a retry is the first we hear of them. Track the roundtrip anyway
-    // (bytes unknown) so mid-retry travels appear as in flight.
+    // a retry is the first we hear of them. Track the travel anyway (bytes
+    // unknown) so mid-retry travels appear as in flight, until it lands.
     rpcs_[id] = RpcLive{src, dst, 0, requester, when, attempt + 1};
+    travels_[requester] = id;
   }
 }
 
@@ -364,6 +370,7 @@ void Recorder::OnRpcTimeout(Time when, NodeId src, NodeId dst, uint64_t id, int 
   Append(EventType::kRpcTimeout, when, src, static_cast<int64_t>(id), attempts,
          static_cast<int64_t>(requester), dst, 0, SpanOf(requester));
   rpcs_.erase(id);
+  travels_.erase(requester);  // a thread blocked in a travel issues nothing else
 }
 
 void Recorder::OnObjectMove(Time when, const void* obj, NodeId src, NodeId dst,

@@ -1,19 +1,19 @@
 // Flight data recorder: the one full-bus recording of an Amber run.
 //
 // A fdr::Recorder subscribes to the amber::RuntimeObserver bus and encodes
-// *every* event — scheduler, invocation, lock, RPC, migration, fault,
-// membership, recovery — into per-node rings of compact 64-byte binary
-// records (O(1) append). A bounded ring reserves its capacity up front, so
-// steady-state appends never allocate, and an overwritten record counts as
-// dropped; a ring created with kKeepAll keeps every record, which is how
-// trace::Tracer renders whole-run traces from the same records. Labels (an
-// invocation's object type, a drop's reason) are interned once and stored
-// per record as a 32-bit id. Alongside the rings the recorder maintains a
-// small live-state model fed by the same events: what each thread is doing
-// and what it is blocked on, who holds and who waits on every lock, which
-// reliable roundtrips are in flight and how many times they have been
-// retransmitted, which objects were touched recently, and each node's
-// suspicion view.
+// every event but the few only the metrics registry consumes — scheduler,
+// invocation, lock, RPC, migration, fault, membership, recovery — into
+// per-node rings of compact 64-byte binary records (O(1) append). A bounded
+// ring reserves its capacity up front, so steady-state appends never
+// allocate, and an overwritten record counts as dropped; a ring created with
+// kKeepAll keeps every record, which is how trace::Tracer renders whole-run
+// traces from the same records. Labels (an invocation's object type, a
+// drop's reason) are interned once and stored per record as a 32-bit id.
+// Alongside the rings the recorder maintains a small live-state model fed by
+// the same events: what each thread is doing and what it is blocked on, who
+// holds and who waits on every lock, which reliable roundtrips and retried
+// travels are in flight and how many times they have been retransmitted,
+// which objects were touched recently, and each node's suspicion view.
 //
 // On amber::Panic (failed AMBER_CHECK included), on injected-fault
 // divergence, or on an explicit Runtime::DumpBlackBox(path), WriteDump
@@ -68,9 +68,9 @@ struct Config {
 // ring_capacity that keeps every record: the rings grow and never wrap.
 inline constexpr size_t kKeepAll = std::numeric_limits<size_t>::max();
 
-// Every bus event maps to one record type. The numeric values are part of
-// the (versioned) dump schema only through their names — renderers must
-// switch on the "type" strings in the JSON, never on these ordinals.
+// Every recorded bus event maps to one record type. The numeric values are
+// part of the (versioned) dump schema only through their names — renderers
+// must switch on the "type" strings in the JSON, never on these ordinals.
 enum class EventType : uint8_t {
   kThreadCreate,
   kThreadDispatch,
@@ -304,6 +304,8 @@ class Recorder : public amber::BlackBox {
   amber::IdTable<ThreadLive> threads_;  // by thread id (dense fiber ids)
   std::map<int, LockLive> locks_;
   std::map<uint64_t, RpcLive> rpcs_;
+  // Retried thread travels not yet landed: traveller -> rpc id.
+  std::unordered_map<ThreadId, uint64_t> travels_;
   std::map<NodeId, std::set<NodeId>> suspects_;  // viewer -> suspected peers
   std::set<NodeId> crashed_;
   std::unordered_map<const void*, int> obj_ids_;

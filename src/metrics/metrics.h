@@ -3,10 +3,10 @@
 // A Registry is a flat, deterministic store of named metric families, each
 // holding one instance per *label* — "total" for the scalar case, "node3"
 // for per-node dimensions, "0->2" for per-link / migration-matrix cells.
-// The Amber runtime registers its core metrics (invocation latency,
-// migration traffic, run-queue wait, lock contention, per-link bytes) when
-// a registry is attached with Runtime::SetMetrics(); applications and
-// benchmarks register their own through the same Get* calls.
+// Runtime::SetMetrics() attaches one bus observer that registers and records
+// the core metrics (invocation latency, migration traffic, run-queue wait,
+// lock contention, per-link bytes) from the runtime's events; applications
+// and benchmarks register their own through the same Get* calls.
 //
 // All values are derived from virtual time and deterministic event order,
 // so WriteJson() output is byte-identical across identical runs — the

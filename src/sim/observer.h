@@ -37,8 +37,8 @@ using ThreadId = uint64_t;
 //                    (from sim::Kernel);
 //   * invocation   — Enter/Exit *span* pairs around every Ref::Call / Join,
 //                    labelled local or remote;
-//   * contention   — lock wait/hold and condition wakeups (from core/sync),
-//                    request/response roundtrips (from rpc::Transport).
+//   * contention   — lock wait/hold, condition wakeups, barrier waits (from
+//                    core/sync), request/response roundtrips (rpc::Transport).
 // With no observer attached every emission is one empty-list check.
 //
 // Fan-out: several observers may be attached at once (AddObserver); each
@@ -54,6 +54,17 @@ class RuntimeObserver {
   virtual void OnObjectMove(Time when, const void* obj, NodeId src, NodeId dst, int64_t bytes) {}
   virtual void OnReplicaInstall(Time when, const void* obj, NodeId node) {}
   virtual void OnMessage(Time depart, Time arrive, NodeId src, NodeId dst, int64_t bytes) {}
+  // A migrating thread runs at `node` again, `latency` after its departure
+  // decision (marshal + wire + dispatch), having carried `bytes`.
+  virtual void OnMigrationLanded(Time when, NodeId node, ThreadId thread, Duration latency,
+                                 int64_t bytes) {}
+  // `thread`'s residency check reached `obj` after `hops` > 0 forwarding hops.
+  virtual void OnChaseEnd(Time when, NodeId node, ThreadId thread, const void* obj, int hops) {}
+  // A MoveTo that `thread` issued at `node` landed, `latency` after it began.
+  virtual void OnMoveLanded(Time when, NodeId node, ThreadId thread, const void* obj,
+                            Duration latency, int64_t bytes) {}
+  // `thread` at `node` begins fetching a replica of immutable `obj`.
+  virtual void OnReplicaFetch(Time when, NodeId node, ThreadId thread, const void* obj) {}
 
   // --- Scheduler events ------------------------------------------------------
   // The only event that carries the thread's name; `parent` is the creating
@@ -100,6 +111,7 @@ class RuntimeObserver {
   virtual void OnLockReleased(Time when, NodeId node, ThreadId thread, int lock,
                               Duration held) {}
   virtual void OnConditionWake(Time when, NodeId node, int condition, int woken) {}
+  virtual void OnBarrierWait(Time when, NodeId node, ThreadId thread) {}
   // A request of `bytes` left `src` for `dst` at `depart` (first attempt);
   // `id` pairs it with its response and `requester` is the thread blocked
   // for the reply.
@@ -128,6 +140,9 @@ class RuntimeObserver {
   // move-ack timeouts) — blocked time that is the fault's fault, not the
   // network's.
   virtual void OnFailureBackoff(Time when, NodeId node, ThreadId thread, Duration backoff) {}
+  // `thread` found `obj` (ObjectHeader::seq `seq`) unreachable on node `dead`.
+  virtual void OnObjectUnreachable(Time when, NodeId node, ThreadId thread, const void* obj,
+                                   uint64_t seq, NodeId dead) {}
 
   // --- Membership / recovery events (fault-injected runs only) ---------------
   // `by`'s heartbeat lease on `node` expired (OnNodeSuspected) or a
@@ -146,6 +161,8 @@ class RuntimeObserver {
   // object restored from its buddy checkpoint (from_checkpoint=true).
   virtual void OnObjectRecovered(Time when, const void* obj, NodeId from, NodeId to,
                                  bool from_checkpoint) {}
+  // A checkpoint of `obj`, `bytes` on the wire, reached its buddy node.
+  virtual void OnCheckpoint(Time when, const void* obj, NodeId buddy, int64_t bytes) {}
   // DrainNode finished evacuating `node`.
   virtual void OnNodeDrained(Time when, NodeId node, int objects_moved) {}
 

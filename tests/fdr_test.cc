@@ -178,6 +178,37 @@ TEST(FdrDumpTest, RecorderIsObserverOnly) {
   EXPECT_TRUE(none.empty());
 }
 
+// A reliable thread travel has no request event: the recorder first hears of
+// it at its first retransmission, and the migration event that follows the
+// landing retires it. A dump taken after the run lists no travel in flight.
+TEST(FdrDumpTest, LandedTravelsLeaveNothingInFlight) {
+  Runtime rt(TestConfig(4, 2));
+  fault::FaultPlan plan;
+  plan.seed = 7;
+  fault::LinkRule rule;
+  rule.drop = 0.15;
+  plan.links.push_back(rule);
+  fault::Injector injector(plan);
+  rt.SetFaultInjector(&injector);
+  rt.SetFailureHandler([](const FailureEvent&) { return FailureAction::kRetry; });
+  fdr::Recorder rec({.name = "travels"});
+  rec.AttachTo(rt);
+  rt.Run([] {
+    auto c = New<Counter>();
+    for (int i = 0; i < 40; ++i) {
+      c.Call(&Counter::Add, 1);  // follows c: a thread travel
+      MoveTo(c, i % 4);          // a typed failure under loss is fine too
+    }
+  });
+  EXPECT_GT(rt.transport().retries(), 0);
+  std::ostringstream out;
+  rec.WriteDump(out, "explicit", "");
+  const fdrtool::Json dump = ParseDump(out.str());
+  const fdrtool::Json* rpcs = dump.Get("rpcs_in_flight");
+  ASSERT_NE(rpcs, nullptr);
+  EXPECT_TRUE(rpcs->arr.empty()) << rpcs->arr.size() << " rpcs still in flight";
+}
+
 TEST(FdrDumpTest, ExplicitDumpViaRuntime) {
   Runtime rt(TestConfig(2, 2));
   fdr::Recorder rec({.name = "explicit"});

@@ -173,6 +173,48 @@ TEST(MembershipTest, CrashDetectedWithinBoundAndTrustedAfterRestart) {
   EXPECT_EQ(samples, 3);
 }
 
+// The registry grades every suspicion against the injector. A partition
+// makes genuine suspicions, with no crash to time a detection latency from.
+TEST(MembershipTest, PartitionSuspicionsAreGradedGenuine) {
+  Runtime rt(TestConfig(4, 1));
+  fault::FaultPlan plan;
+  fault::Partition part;
+  part.a = 1;
+  part.b = 2;
+  part.from = Millis(10);
+  plan.partitions.push_back(part);
+  fault::Injector injector(plan);
+  metrics::Registry metrics;
+  rt.SetMetrics(&metrics);
+  rt.SetFaultInjector(&injector);
+  rt.Run([] { Work(Millis(80)); });
+  EXPECT_EQ(metrics.CounterTotal("member.suspicions"), 2);
+  EXPECT_EQ(metrics.CounterTotal("member.false_suspicions"), 0);
+  EXPECT_EQ(metrics.FindHistograms("member.detect_latency"), nullptr);
+}
+
+// Every frame from node 2 arrives 30-40 ms late, past the 20 ms lease, while
+// every node stays up and reachable: each of the other three suspects node 2
+// falsely.
+TEST(MembershipTest, LateHeartbeatsAreGradedFalseSuspicions) {
+  Runtime rt(TestConfig(4, 1));
+  fault::FaultPlan plan;
+  fault::LinkRule rule;
+  rule.src = 2;
+  rule.delay = 1.0;
+  rule.delay_min = Millis(30);
+  rule.delay_max = Millis(40);
+  plan.links.push_back(rule);
+  fault::Injector injector(plan);
+  metrics::Registry metrics;
+  rt.SetMetrics(&metrics);
+  rt.SetFaultInjector(&injector);
+  rt.Run([] { Work(Millis(120)); });
+  EXPECT_EQ(metrics.CounterTotal("member.suspicions"), 0);
+  EXPECT_EQ(metrics.CounterTotal("member.false_suspicions"), 3);
+  EXPECT_EQ(metrics.FindHistograms("member.detect_latency"), nullptr);
+}
+
 TEST(MembershipTest, SuspicionStateIsPerViewer) {
   Runtime rt(TestConfig());
   fault::FaultPlan plan;

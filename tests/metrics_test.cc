@@ -275,6 +275,45 @@ TEST(RegistryTest, RuntimeCoreMetrics) {
   EXPECT_NE(json.find("\"histograms\""), std::string::npos);
 }
 
+class Setting : public Object {
+ public:
+  int Get() { return value_; }
+
+ private:
+  int value_ = 7;
+};
+
+class Reader : public Object {
+ public:
+  int Read(Ref<Setting> setting) { return setting.Call(&Setting::Get); }
+};
+
+// Every reader that finds no copy of an immutable object at its node pays
+// for a fetch. The two readers on node 1 fetch at once and only the first
+// installs a replica there.
+TEST(RegistryTest, ReplicaFetchesCountEveryFetchingReader) {
+  Registry reg;
+  Runtime::Config config = TestConfig();
+  config.nodes = 3;
+  Runtime rt(config);
+  rt.SetMetrics(&reg);
+  rt.Run([] {
+    auto setting = New<Setting>();
+    MakeImmutable(setting);
+    auto near = NewOn<Reader>(1);
+    auto far = NewOn<Reader>(2);
+    std::vector<ThreadRef<int>> readers;
+    readers.push_back(StartThread(near, &Reader::Read, setting));
+    readers.push_back(StartThread(near, &Reader::Read, setting));
+    readers.push_back(StartThread(far, &Reader::Read, setting));
+    for (auto& r : readers) {
+      EXPECT_EQ(r.Join(), 7);
+    }
+  });
+  EXPECT_EQ(reg.CounterTotal("amber.replica.fetches"), 3);
+  EXPECT_EQ(reg.CounterTotal("amber.replicas.installed"), 2);
+}
+
 TEST(RegistryTest, JsonByteIdenticalAcrossRuns) {
   Registry a;
   Registry b;
